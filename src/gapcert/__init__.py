@@ -1,10 +1,10 @@
 """Numerical toolkit for spectral gaps of random-projector spin chains and trees.
 
 Builds translation-invariant Hamiltonians from Haar-random small-rank
-projectors, computes their spectral gaps (dense oracle and matrix-free block
-Lanczos), certifies gappedness through three-site finite-size criteria, and
-checks the quantitative spherical-cap probability bounds behind the
-positive-probability gap statements.
+projectors, computes their spectral gaps (dense oracle and matrix-free
+thick-restart Lanczos on a preallocated basis), certifies gappedness through
+three-site finite-size criteria, and checks the quantitative spherical-cap
+probability bounds behind the positive-probability gap statements.
 """
 
 from .capgeom import (
@@ -70,6 +70,7 @@ from .model import (
 )
 from .spectral import (
     AUTO_DENSE_LIMIT,
+    SolverStats,
     SpectralReport,
     default_kernel_threshold,
     dense_spectrum,

@@ -3,21 +3,27 @@
 Two routes are provided and cross-validated in the test suite:
 
 * a dense oracle (`dense_spectrum`) for dimensions up to DENSE_DIM_LIMIT;
-* a matrix-free block Lanczos iteration with full reorthogonalization and
-  thick restarts (`lowest_eigs`, `smallest_eig_above`).
+* a matrix-free thick-restart (block) Lanczos iteration with full
+  reorthogonalization (`lowest_eigs`, `smallest_eig_above`).
+
+The Lanczos core allocates the basis V, its images W = H V (row-major, one
+row per vector) and T = V W^T once per solve.  Each step expands V by the
+newest rows of W, orthogonalized twice against V by classical Gram-Schmidt;
+the first pass's coefficients are the new column of T.  Rayleigh-Ritz runs
+every _RITZ_INTERVAL steps and tests the explicit residuals ||W y - theta V y||.
 
 For frustration-free operators the kernel can be huge (thousands of states for
 moderate chains), so the gap is not reached by enumerating low eigenvalues.
 `smallest_eig_above` instead starts the Krylov basis inside the range of the
-operator (start block = H applied to random vectors).  The range is invariant
+operator (start vector = H applied to a random vector).  The range is invariant
 under H and orthogonal to the kernel, so the iteration converges to the
 smallest *positive* eigenvalue directly; rounding-level kernel leakage is
-ignored via the kernel threshold and purged again at every restart.
+ignored via the kernel threshold, and a restart keeps only Ritz vectors above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,14 +50,36 @@ DEFAULT_RES_RTOL = 1e-9
 _KERNEL_PROBE_START = 8
 _KERNEL_PROBE_CAP = 128
 
+#: Lanczos steps between Rayleigh-Ritz checks (an eigh of T costs far more than a step)
+_RITZ_INTERVAL = 8
+
+#: basis rows of one solve (at least three blocks, at most dim); a restart keeps a third
+_MAX_BASIS = 480
+
+#: a new direction whose norm fell below this share of its input is dropped
+_DROP_RTOL = 1e-10
+
 
 def default_kernel_threshold(n_terms: int) -> float:
     return KERNEL_EPS_PER_TERM * max(1, n_terms)
 
 
+@dataclass
+class SolverStats:
+    """Work of the iterative solver, summed over the solves it is passed to."""
+
+    iterations: int = 0  # Lanczos steps
+    matvec_columns: int = 0  # vectors H was applied to
+    restarts: int = 0
+    max_residual: float = 0.0  # largest explicit residual of a returned Ritz pair
+
+
 @dataclass(frozen=True)
 class SpectralReport:
-    """Spectral summary of one Hamiltonian instance."""
+    """Spectral summary of one Hamiltonian instance.
+
+    The solver fields are diagnostics of the iterative path; `to_json_obj` omits them.
+    """
 
     ground_energy: float
     kernel_dim: int | None
@@ -62,6 +90,10 @@ class SpectralReport:
     solver_tolerance: float
     dim: int
     n_terms: int
+    iterations: int | None = None
+    matvec_columns: int | None = None
+    restarts: int | None = None
+    max_residual: float | None = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -103,134 +135,109 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-class _BlockOperator:
-    """Wrap a matvec callable so it can be applied to column blocks."""
+def _new_directions(block: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning `block` projected off the rows of `basis`.
 
-    def __init__(self, matvec, dim: int):
-        self.dim = dim
-        self._matvec = matvec
-        probe = np.zeros((dim, 2))
-        try:
-            out = matvec(probe)
-            self._block_ok = isinstance(out, np.ndarray) and out.shape == probe.shape
-        except Exception:
-            self._block_ok = False
-
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        if block.ndim == 1 or self._block_ok:
-            return np.asarray(self._matvec(block), dtype=float)
-        return np.column_stack([self._matvec(block[:, i]) for i in range(block.shape[1])])
+    Classical Gram-Schmidt twice, the first pass with `coeffs` = basis @ block.T;
+    directions below _DROP_RTOL of the largest input row norm are dropped.
+    """
+    ref = float(np.linalg.norm(block, axis=1).max())
+    block = block - coeffs.T @ basis
+    block -= (basis @ block.T).T @ basis
+    if block.shape[0] == 1:
+        norm = float(np.linalg.norm(block))
+        return block / norm if norm > _DROP_RTOL * ref else block[:0]
+    _, s, vt = np.linalg.svd(block, full_matrices=False)
+    return vt[s > _DROP_RTOL * ref]
 
 
-def _orthonormalize(block: np.ndarray, against: np.ndarray | None) -> np.ndarray:
-    """Orthonormalize columns (DGKS: project twice), dropping degenerate ones."""
-    if block.shape[1] == 0:
-        return block
-    ref = float(np.linalg.norm(block, axis=0).max())
-    if ref == 0.0:
-        return block[:, :0]
-    if against is not None and against.shape[1] > 0:
-        for _ in range(2):
-            block = block - against @ (against.T @ block)
-    q, r = np.linalg.qr(block)
-    keep = np.abs(np.diagonal(r)) > 1e-10 * ref
-    return q[:, keep]
+def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *, width: int = 1,
+             threshold: float | None = None, res_rtol: float = DEFAULT_RES_RTOL,
+             max_iter: int = 3000, max_basis: int = _MAX_BASIS,
+             stats: SolverStats | None = None):
+    """Thick-restart block Lanczos with full reorthogonalization.
 
-
-def _block_krylov_lowest(
-    op: _BlockOperator,
-    nev: int,
-    rng: np.random.Generator,
-    *,
-    threshold: float | None = None,
-    in_range_start: bool = False,
-    block: int | None = None,
-    res_rtol: float = DEFAULT_RES_RTOL,
-    max_basis: int = 480,
-    restart_keep: int = 160,
-    max_iter: int = 3000,
-):
-    """Rayleigh-Ritz on a growing block Krylov basis with full reorthogonalization.
-
-    Converges the `nev` lowest Ritz pairs, or the `nev` lowest above `threshold`
-    when a threshold is given.  Returns (values, residual_norms, exhausted):
+    Converges the `nev` lowest Ritz pairs, expanding by `width` vectors per
+    step.  Given a `threshold`, it converges the `nev` lowest above it instead,
+    and the basis starts inside the range of H.  Returns (values, exhausted):
     `exhausted` is True when the reachable invariant subspace was spanned
     completely (values are then exact for that subspace).
     """
-    dim = op.dim
-    b = max(1, min(block if block is not None else max(nev, 4), dim))
+    stats = SolverStats() if stats is None else stats
+    floor = -np.inf if threshold is None else threshold
+    cap = min(dim, max(max_basis, 3 * width))  # room for the kept vectors and a block
+    keep = max(nev, cap // 3)
+    V = np.empty((cap, dim))
+    W = np.empty((cap, dim))
+    T = np.empty((cap, cap))
 
-    def fresh_block(width):
-        z = rng.standard_normal((dim, width))
-        return op(z) if in_range_start else z
+    def apply(rows):
+        stats.matvec_columns += rows.shape[0]
+        return np.asarray(matvec(rows.T), dtype=float).T
 
-    v = _orthonormalize(fresh_block(b), against=None)
-    if v.shape[1] == 0 and in_range_start:
-        return np.empty(0), np.empty(0), True  # operator range is (numerically) trivial
-    while v.shape[1] == 0:
-        v = _orthonormalize(rng.standard_normal((dim, b)), against=None)
-    w = op(v)
-    t = v.T @ w
+    def fresh(n):
+        z = rng.standard_normal((width, dim))
+        if threshold is not None:
+            z = apply(z)
+        return _new_directions(z, V[:n], V[:n] @ z.T)
 
-    for _ in range(max_iter):
-        ts = 0.5 * (t + t.T)
-        theta, y = np.linalg.eigh(ts)
-        scale = max(1.0, float(np.abs(theta).max()))
-        if threshold is None:
-            targets = np.arange(min(nev, theta.size))
-        else:
-            targets = np.flatnonzero(theta > threshold)[:nev]
-        if targets.size:
-            yt = y[:, targets]
-            res = np.linalg.norm((w @ yt) - (v @ yt) * theta[targets], axis=0)
+    def append(n, q):
+        """Store rows q at n with their images and their columns of T; the new size."""
+        m = n + q.shape[0]
+        V[n:m] = q
+        W[n:m] = apply(q)
+        T[:m, n:m] = V[:m] @ W[n:m].T
+        T[n:m, :n] = T[:n, n:m].T
+        return m
+
+    def ritz(n):
+        theta, y = np.linalg.eigh(T[:n, :n])
+        targets = np.flatnonzero(theta > floor)[:nev]
+        yt = y[:, targets].T
+        res = np.linalg.norm(yt @ W[:n] - theta[targets, None] * (yt @ V[:n]), axis=1)
+        return theta, y, targets, res
+
+    q = fresh(0)
+    if q.shape[0] == 0:
+        return np.empty(0), True  # the operator's range is (numerically) trivial
+    n, newest = append(0, q), q.shape[0]
+    for step in range(max_iter + 1):
+        full = cap < dim and n + width > cap
+        if step % _RITZ_INTERVAL == 0 or step == max_iter or full:
+            theta, y, targets, res = ritz(n)
+            scale = max(1.0, float(np.abs(theta).max()))
             if targets.size >= nev and np.all(res <= res_rtol * scale):
-                return theta[targets], res, v.shape[1] >= dim
+                exhausted = n >= dim
+                break
+            if step == max_iter:
+                raise SolverConvergenceError(f"no convergence after {max_iter} iterations "
+                                             f"(dim={dim}, nev={nev}, threshold={threshold})")
+        q = _new_directions(W[n - newest : n], V[:n], T[:n, n - newest : n])
+        if q.shape[0] == 0:
+            q = fresh(n)
+        if q.shape[0] == 0:
+            theta, y, targets, res = ritz(n)  # invariant subspace spanned: exact on it
+            exhausted = True
+            break
+        if cap == dim or n + q.shape[0] <= cap:
+            n = append(n, q[: cap - n])
         else:
-            res = np.empty(0)
-
-        # expand with residual directions of the unconverged targets
-        if targets.size:
-            live = targets[res > res_rtol * scale][:b]
-            if live.size == 0:
-                live = targets[:b]
-            yl = y[:, live]
-            new = (w @ yl) - (v @ yl) * theta[live]
-        else:
-            new = fresh_block(b)
-        new = _orthonormalize(new, against=v)
-        if new.shape[1] == 0:
-            new = _orthonormalize(fresh_block(b), against=v)
-        if new.shape[1] == 0 and not in_range_start:
-            new = _orthonormalize(rng.standard_normal((dim, b)), against=v)
-        if new.shape[1] == 0:
-            # invariant subspace exhausted: current Ritz data is exact on it
-            yt = y[:, targets]
-            res = np.linalg.norm((w @ yt) - (v @ yt) * theta[targets], axis=0)
-            return theta[targets], res, True
-
-        if v.shape[1] + new.shape[1] > max_basis:
-            keep = min(restart_keep, theta.size)
-            if in_range_start:
-                # restart through the operator: re-purifies kernel leakage
-                vr = _orthonormalize(w @ y[:, :keep], against=None)
-            else:
-                vr = v @ y[:, :keep]
-            if vr.shape[1] == 0:
-                vr = _orthonormalize(fresh_block(b), against=None)
-            v = vr
-            w = op(v)
-            t = v.T @ w
-            continue
-
-        wn = op(new)
-        c = v.T @ wn
-        t = np.block([[t, c], [c.T, new.T @ wn]])
-        v = np.column_stack([v, new])
-        w = np.column_stack([w, wn])
-
-    raise SolverConvergenceError(
-        f"no convergence after {max_iter} iterations (dim={dim}, nev={nev}, threshold={threshold})"
-    )
+            # thick restart: the lowest Ritz vectors (above the threshold, so
+            # resolved kernel leakage is dropped), then the next Lanczos block q,
+            # which holds all of their residuals.  Restarting through W y instead
+            # multiplies the error of the Lanczos relation by residual / theta
+            # and stalls on a gap of 1e-4 above a kernel.
+            kept = np.flatnonzero(theta > floor)[:keep]
+            k = kept.size
+            y = y[:, kept].T
+            V[:k], W[:k] = y @ V[:n], y @ W[:n]
+            T[:k, :k] = V[:k] @ W[:k].T
+            n = append(k, q)
+            stats.restarts += 1
+        newest = min(q.shape[0], n)
+        stats.iterations += 1
+    stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
+    return theta[targets], exhausted
 
 
 def lowest_eigs(
@@ -244,19 +251,19 @@ def lowest_eigs(
 ) -> np.ndarray:
     """The `count` lowest eigenvalues of a symmetric PSD operator, ascending.
 
-    Block Lanczos with block width `count` (so degenerate levels are resolved up
-    to that multiplicity), full reorthogonalization, and a deterministic start
-    block drawn from `seed`.  Raises SolverConvergenceError at the iteration cap.
+    `matvec` must map a (dim, b) block of columns to the (dim, b) block of
+    their images.  Block Lanczos with block width `count` (so degenerate
+    levels are resolved up to that multiplicity), full reorthogonalization,
+    and a deterministic start block drawn from `seed`.  Raises
+    SolverConvergenceError at the iteration cap.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if dim < count:
         raise InvalidDimensionError(f"dim={dim} is smaller than count={count}")
     rng = (seed or RandomSeed()).generator(substream=1)
-    op = _BlockOperator(matvec, dim)
-    theta, _, _ = _block_krylov_lowest(
-        op, count, rng, block=count, res_rtol=res_rtol, max_iter=max_iter
-    )
+    theta, _ = _lanczos(matvec, dim, count, rng, width=count, res_rtol=res_rtol,
+                        max_iter=max_iter)
     if theta.size < count:
         raise SolverConvergenceError(f"resolved only {theta.size} of {count} requested eigenvalues")
     return theta[:count]
@@ -268,50 +275,43 @@ def smallest_eig_above(
     threshold: float,
     *,
     seed: RandomSeed | None = None,
-    block: int = 8,
     res_rtol: float = DEFAULT_RES_RTOL,
     max_iter: int = 3000,
+    stats: SolverStats | None = None,
 ) -> float | None:
     """Smallest eigenvalue strictly above `threshold` of a symmetric PSD operator.
 
-    The Krylov basis starts (and restarts) inside ran(H), which deflates the
+    `matvec` must map a (dim, b) block of columns to the (dim, b) block of
+    their images.  The Krylov basis starts inside ran(H), which deflates the
     kernel without ever resolving its dimension.  Returns None when the
     reachable range holds no eigenvalue above the threshold (zero operator).
+    The solver's work is added to `stats` when one is given.
     """
     rng = (seed or RandomSeed()).generator(substream=2)
-    op = _BlockOperator(matvec, dim)
-    theta, _, _ = _block_krylov_lowest(
-        op,
-        1,
-        rng,
-        threshold=threshold,
-        in_range_start=True,
-        block=block,
-        res_rtol=res_rtol,
-        max_iter=max_iter,
-    )
-    above = theta[theta > threshold]
-    return float(above[0]) if above.size else None
+    theta, _ = _lanczos(matvec, dim, 1, rng, threshold=threshold, res_rtol=res_rtol,
+                        max_iter=max_iter, stats=stats)
+    return float(theta[0]) if theta.size else None
 
 
-def _kernel_probe(op, threshold, rng, res_rtol, max_iter):
+def _growing_solves(matvec, dim, rng, res_rtol, stats):
+    """Solves for the lowest m = 8, 16, ... eigenvalues (block width m), up to the probe cap."""
+    m = _KERNEL_PROBE_START
+    while m <= min(_KERNEL_PROBE_CAP, dim):
+        yield _lanczos(matvec, dim, m, rng, width=m, res_rtol=res_rtol, stats=stats)
+        m *= 2
+
+
+def _kernel_probe(matvec, dim, threshold, rng, res_rtol, stats):
     """Count kernel states by doubling the requested eigenvalue count.
 
     Returns the count of sub-threshold eigenvalues once a value above the
     threshold shows up, or None when the cap is reached first (kernel larger
     than the probe can resolve; left unresolved rather than failing the report).
     """
-    m = _KERNEL_PROBE_START
-    while m <= min(_KERNEL_PROBE_CAP, op.dim):
-        theta, _, exhausted = _block_krylov_lowest(
-            op, m, rng, block=m, res_rtol=res_rtol, max_iter=max_iter
-        )
+    for theta, exhausted in _growing_solves(matvec, dim, rng, res_rtol, stats):
         below = int(np.sum(theta <= threshold))
-        if below < theta.size:
+        if below < theta.size or (exhausted and theta.size >= dim):
             return below
-        if exhausted and theta.size >= op.dim:
-            return below
-        m *= 2
     return None
 
 
@@ -333,7 +333,9 @@ def gap_report(
     energy itself exceeds the threshold the instance is flagged non-frustration-
     free and the gap falls back to the spacing between the two lowest distinct
     levels.  On the iterative path the kernel dimension is only resolved on
-    request (it can exceed any practical probe size) and may come back None.
+    request (it can exceed any practical probe size) and may come back None;
+    the report also carries the solver's work (iterations, matvec columns,
+    restarts) and the largest residual of a converged Ritz pair.
     """
     dim = spec.dim
     n_terms = spec.n_terms
@@ -366,35 +368,31 @@ def gap_report(
         raise ValueError(f"unknown method {method!r}")
 
     matvec = hamiltonian_matvec(spec, P)
-    op = _BlockOperator(matvec, dim)
     rng = (seed or RandomSeed()).generator(substream=1)
-    theta, _, _ = _block_krylov_lowest(op, 1, rng, block=2, res_rtol=res_rtol)
+    stats = SolverStats()
+    theta, _ = _lanczos(matvec, dim, 1, rng, res_rtol=res_rtol, stats=stats)
     ground = float(theta[0])
     ff = ground <= thr
     if ff:
-        gap = smallest_eig_above(matvec, dim, thr, seed=seed, res_rtol=res_rtol)
+        gap = smallest_eig_above(matvec, dim, thr, seed=seed, res_rtol=res_rtol, stats=stats)
         if gap is None:
             raise SolverConvergenceError("no eigenvalue found above the kernel threshold")
         kd = None
         if resolve_kernel_dim:
-            kd = _kernel_probe(op, thr, rng, res_rtol, max_iter=3000)
+            kd = _kernel_probe(matvec, dim, thr, rng, res_rtol, stats)
     else:
         kd = 0
-        m = _KERNEL_PROBE_START
-        gap = None
-        while m <= min(_KERNEL_PROBE_CAP, dim):
-            vals, _, _ = _block_krylov_lowest(op, m, rng, block=m, res_rtol=res_rtol)
+        for vals, _ in _growing_solves(matvec, dim, rng, res_rtol, stats):
             distinct = vals[vals > ground + thr]
             if distinct.size:
                 gap = float(distinct[0] - ground)
                 break
-            m *= 2
-        if gap is None:
+        else:
             raise SolverConvergenceError(
                 "could not resolve a second level above the (non-frustration-free) ground energy"
             )
     return SpectralReport(
         ground_energy=ground, kernel_dim=kd, gap=gap, frustration_free=ff,
         method="iterative", kernel_threshold=thr, solver_tolerance=res_rtol,
-        dim=dim, n_terms=n_terms,
+        dim=dim, n_terms=n_terms, **asdict(stats),
     )

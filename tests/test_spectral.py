@@ -11,12 +11,14 @@ from gapcert import (
     RandomSeed,
     SolverConvergenceError,
     TreeSpec,
+    construct_near_good,
     default_kernel_threshold,
     dense_hamiltonian,
     dense_spectrum,
     gap_report,
     hamiltonian_matvec,
     lowest_eigs,
+    projector_from_family,
     reference_projector,
     smallest_eig_above,
 )
@@ -151,15 +153,26 @@ def test_gap_report_tree_no_edges():
     assert rep.kernel_dim == rep.dim
 
 
+def _near_good(seed):
+    """Near-reference rank-1 projector: on a 3-level binary tree its gap of
+    1e-7 to 1e-4 sits just above a kernel of about 2000 states."""
+    return projector_from_family(construct_near_good(3, 1, 1.0 / 18.0, seed))
+
+
 @pytest.mark.parametrize(
     "spec,master",
     [(ChainSpec(2, 1, 8), 70), (ChainSpec(3, 1, 6), 71), (ChainSpec(3, 2, 6), 72),
-     (TreeSpec(3, 1, 2, 3), 73)],
+     (TreeSpec(3, 1, 2, 3), 73)]
+    + [pytest.param(TreeSpec(3, 1, 2, 3), RandomSeed(12000 + t, 0), id=f"near-good-{12000 + t}")
+       for t in range(3)],
 )
 def test_iterative_and_dense_gap_agree(spec, master):
-    p = random_projector(spec.d, spec.r, master=master)
+    if isinstance(master, RandomSeed):
+        p, seed = _near_good(master), master
+    else:
+        p, seed = random_projector(spec.d, spec.r, master=master), RandomSeed(master, 1)
     dense = gap_report(spec, p, method="dense")
-    iterative = gap_report(spec, p, method="iterative", seed=RandomSeed(master, 1))
+    iterative = gap_report(spec, p, method="iterative", seed=seed)
     assert abs(dense.gap - iterative.gap) < 1e-8
     assert abs(dense.ground_energy - iterative.ground_energy) < 1e-8
     assert dense.frustration_free == iterative.frustration_free
@@ -224,3 +237,49 @@ def test_gap_report_deterministic_given_seed():
     assert a.gap == b.gap and a.ground_energy == b.ground_energy
     c = gap_report(spec, p, method="iterative", seed=RandomSeed(1, 3))
     assert abs(c.gap - a.gap) < 1e-8
+
+
+def test_gap_report_solver_stats():
+    p = random_projector(3, 1, master=83)
+    spec = ChainSpec(3, 1, 7)
+    a = gap_report(spec, p, method="iterative", seed=RandomSeed(4, 5))
+    b = gap_report(spec, p, method="iterative", seed=RandomSeed(4, 5))
+    stats = (a.iterations, a.matvec_columns, a.restarts, a.max_residual)
+    assert stats == (b.iterations, b.matvec_columns, b.restarts, b.max_residual)
+    assert a.iterations > 0 and a.matvec_columns > a.iterations and a.restarts == 0
+    # Ritz values lie in [0, ||H||] and ||H|| <= n_terms, which bounds the spectral scale
+    assert 0.0 < a.max_residual <= spectral.DEFAULT_RES_RTOL * spec.n_terms
+    assert set(a.to_json_obj()).isdisjoint({"iterations", "matvec_columns", "restarts",
+                                             "max_residual"})
+    dense = gap_report(spec, p, method="dense")
+    assert dense.iterations is None and dense.max_residual is None
+
+
+@pytest.mark.parametrize(
+    "spec,p",
+    [(ChainSpec(3, 1, 6), random_projector(3, 1, master=71)),
+     (TreeSpec(3, 1, 2, 3), _near_good(RandomSeed(909, 1)))],
+    ids=["chain-haar", "tree-9b-near-good"],
+)
+def test_thick_restart_matches_dense(spec, p):
+    # no benchmark or report solve fills the default basis; a cap of 24 forces restarts
+    evals = dense_spectrum(dense_hamiltonian(spec, p))
+    thr = default_kernel_threshold(spec.n_terms)
+    matvec = hamiltonian_matvec(spec, p)
+    rng = RandomSeed(7, 7).generator(substream=1)
+    for threshold, expected in ((None, evals[0]), (thr, evals[np.searchsorted(evals, thr, "right")])):
+        stats = spectral.SolverStats()
+        theta, _ = spectral._lanczos(matvec, spec.dim, 1, rng, threshold=threshold,
+                                     max_basis=24, stats=stats)
+        assert abs(theta[0] - expected) < 1e-8
+        assert stats.restarts >= 1
+
+
+def test_block_thick_restart_leaves_room_for_a_block():
+    # 8 kept Ritz vectors plus a block of 8 overflow a 12-row cap; the core widens it
+    diag = np.linspace(0.0, 1.0, 120)
+    stats = spectral.SolverStats()
+    theta, _ = spectral._lanczos(lambda x: diag[:, None] * x, 120, 8, RandomSeed(8, 8).generator(),
+                                 width=8, max_basis=12, stats=stats)
+    assert np.abs(theta - diag[:8]).max() < 1e-8
+    assert stats.restarts >= 1
