@@ -23,7 +23,7 @@ ignored via the kernel threshold, and a restart keeps only Ritz vectors above it
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,8 @@ class SolverStats:
 class SpectralReport:
     """Spectral summary of one Hamiltonian instance.
 
-    The solver fields are diagnostics of the iterative path; `to_json_obj` omits them.
+    `solver` holds the work of the iterative path (None on the dense path);
+    `to_json_obj` omits it.
     """
 
     ground_energy: float
@@ -90,10 +91,7 @@ class SpectralReport:
     solver_tolerance: float
     dim: int
     n_terms: int
-    iterations: int | None = None
-    matvec_columns: int | None = None
-    restarts: int | None = None
-    max_residual: float | None = None
+    solver: SolverStats | None = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -151,21 +149,22 @@ def _new_directions(block: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) ->
     return vt[s > _DROP_RTOL * ref]
 
 
-def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *, width: int = 1,
+def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
              threshold: float | None = None, res_rtol: float = DEFAULT_RES_RTOL,
              max_iter: int = 3000, max_basis: int = _MAX_BASIS,
              stats: SolverStats | None = None):
     """Thick-restart block Lanczos with full reorthogonalization.
 
-    Converges the `nev` lowest Ritz pairs, expanding by `width` vectors per
-    step.  Given a `threshold`, it converges the `nev` lowest above it instead,
-    and the basis starts inside the range of H.  Returns (values, exhausted):
+    Converges the `nev` lowest Ritz pairs, expanding by a block of `nev`
+    vectors per step (so multiplicities up to `nev` are resolved).  Given a
+    `threshold`, it converges the `nev` lowest above it instead, and the
+    basis starts inside the range of H.  Returns (values, exhausted):
     `exhausted` is True when the reachable invariant subspace was spanned
     completely (values are then exact for that subspace).
     """
     stats = SolverStats() if stats is None else stats
     floor = -np.inf if threshold is None else threshold
-    cap = min(dim, max(max_basis, 3 * width))  # room for the kept vectors and a block
+    cap = min(dim, max(max_basis, 3 * nev))  # room for the kept vectors and a block
     keep = max(nev, cap // 3)
     V = np.empty((cap, dim))
     W = np.empty((cap, dim))
@@ -176,7 +175,7 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *, width: int
         return np.asarray(matvec(rows.T), dtype=float).T
 
     def fresh(n):
-        z = rng.standard_normal((width, dim))
+        z = rng.standard_normal((nev, dim))
         if threshold is not None:
             z = apply(z)
         return _new_directions(z, V[:n], V[:n] @ z.T)
@@ -202,7 +201,7 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *, width: int
         return np.empty(0), True  # the operator's range is (numerically) trivial
     n, newest = append(0, q), q.shape[0]
     for step in range(max_iter + 1):
-        full = cap < dim and n + width > cap
+        full = cap < dim and n + nev > cap
         if step % _RITZ_INTERVAL == 0 or step == max_iter or full:
             theta, y, targets, res = ritz(n)
             scale = max(1.0, float(np.abs(theta).max()))
@@ -219,8 +218,8 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *, width: int
             theta, y, targets, res = ritz(n)  # invariant subspace spanned: exact on it
             exhausted = True
             break
-        if cap == dim or n + q.shape[0] <= cap:
-            n = append(n, q[: cap - n])
+        if n + q.shape[0] <= cap:
+            n = append(n, q)
         else:
             # thick restart: the lowest Ritz vectors (above the threshold, so
             # resolved kernel leakage is dropped), then the next Lanczos block q,
@@ -234,7 +233,7 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *, width: int
             T[:k, :k] = V[:k] @ W[:k].T
             n = append(k, q)
             stats.restarts += 1
-        newest = min(q.shape[0], n)
+        newest = q.shape[0]
         stats.iterations += 1
     stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
     return theta[targets], exhausted
@@ -262,8 +261,7 @@ def lowest_eigs(
     if dim < count:
         raise InvalidDimensionError(f"dim={dim} is smaller than count={count}")
     rng = (seed or RandomSeed()).generator(substream=1)
-    theta, _ = _lanczos(matvec, dim, count, rng, width=count, res_rtol=res_rtol,
-                        max_iter=max_iter)
+    theta, _ = _lanczos(matvec, dim, count, rng, res_rtol=res_rtol, max_iter=max_iter)
     if theta.size < count:
         raise SolverConvergenceError(f"resolved only {theta.size} of {count} requested eigenvalues")
     return theta[:count]
@@ -297,7 +295,7 @@ def _growing_solves(matvec, dim, rng, res_rtol, stats):
     """Solves for the lowest m = 8, 16, ... eigenvalues (block width m), up to the probe cap."""
     m = _KERNEL_PROBE_START
     while m <= min(_KERNEL_PROBE_CAP, dim):
-        yield _lanczos(matvec, dim, m, rng, width=m, res_rtol=res_rtol, stats=stats)
+        yield _lanczos(matvec, dim, m, rng, res_rtol=res_rtol, stats=stats)
         m *= 2
 
 
@@ -394,5 +392,5 @@ def gap_report(
     return SpectralReport(
         ground_energy=ground, kernel_dim=kd, gap=gap, frustration_free=ff,
         method="iterative", kernel_threshold=thr, solver_tolerance=res_rtol,
-        dim=dim, n_terms=n_terms, **asdict(stats),
+        dim=dim, n_terms=n_terms, solver=stats,
     )
