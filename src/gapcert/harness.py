@@ -542,18 +542,13 @@ def run_tree_gap(cfg: ExperimentConfig) -> RunResult:
                 tree_bound=tb, verdict="certified-gapped" if tb > 0 else "inconclusive",
             )
             spec = TreeSpec(cfg.d, cfg.r, k, levels)
-            if spec.n_terms == 0:
-                row.gap_status = "n/a"
-                row.ground_energy = 0.0
-                row.kernel_dim = spec.dim
-                row.frustration_free = True
-            elif spec.dim <= DENSE_DIM_LIMIT or cfg.gap_method == "iterative":
+            if spec.dim <= DENSE_DIM_LIMIT or cfg.gap_method == "iterative":
                 rep = gap_report(spec, proj, method=cfg.gap_method,
                                  kernel_threshold=cfg.kernel_threshold, seed=seed)
                 row.ground_energy = rep.ground_energy
                 row.kernel_dim = rep.kernel_dim
                 row.gap = rep.gap
-                row.gap_status = "ok"
+                row.gap_status = "n/a" if rep.method == "trivial" else "ok"
                 row.frustration_free = rep.frustration_free
             else:
                 row.gap_status = "skipped"

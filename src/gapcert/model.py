@@ -1,5 +1,9 @@
 """Local projectors and chain/tree Hamiltonians with matrix-free matvec.
 
+Both lattices are edge lists: a chain of L sites is the path graph with bonds
+(j, j+1), a tree lists its (parent, child) edges, and one edge-list matvec and
+one dense assembler serve both.
+
 Basis convention (fixed everywhere in this package):
 
 * pair basis: the product state with 1-based site labels (i, j) maps to the
@@ -153,34 +157,66 @@ def reference_projector(d: int, r: int) -> LocalProjector:
     return LocalProjector(d=d, r=r, matrix=np.diag(diag))
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Open chain of L sites with the same two-site interaction on every bond."""
+def _path_edges(L: int) -> list[tuple[int, int]]:
+    """Bonds (j, j+1) of the open L-site chain: the path graph on sites 0..L-1."""
+    return [(j, j + 1) for j in range(L - 1)]
 
-    d: int
-    r: int
-    L: int
-    boundary: str = "open"
+
+def _state_dim(d: int, sites: int) -> int:
+    """d**sites, refused above MAX_STATE_DIM.
+
+    For d >= 2, d**MAX_STATE_DIM.bit_length() already exceeds the limit, so the
+    capped exponent keeps the test exact without raising d to the vertex count
+    of a deep tree.
+    """
+    if d ** min(sites, MAX_STATE_DIM.bit_length()) > MAX_STATE_DIM:
+        raise InvalidDimensionError(
+            f"state dimension d^{sites} with d={d} exceeds {MAX_STATE_DIM}"
+        )
+    return d**sites
+
+
+class _Lattice:
+    """Checks and sizes shared by lattices with fields d, r and properties
+    ``sites`` and ``edges`` (pairs (a, b) with a < b)."""
 
     def __post_init__(self):
-        if self.L < 2:
-            raise InvalidDimensionError(f"chain length must be >= 2, got {self.L}")
+        sites = self.sites  # a tree's vertex count checks k and L first
         if self.d < 2:
             raise InvalidDimensionError(f"local dimension must be >= 2, got {self.d}")
         if not (1 <= self.r <= self.d**2):
             raise InvalidRankError(f"rank {self.r} outside 1..d^2 for d={self.d}")
-        if self.boundary != "open":
-            raise ValueError("only open boundary conditions are supported")
-        if self.dim > MAX_STATE_DIM:
-            raise InvalidDimensionError(f"state dimension d^L = {self.dim} exceeds {MAX_STATE_DIM}")
+        _state_dim(self.d, sites)
 
     @property
     def dim(self) -> int:
-        return self.d**self.L
+        return self.d**self.sites
 
     @property
     def n_terms(self) -> int:
-        return self.L - 1
+        return len(self.edges)
+
+
+@dataclass(frozen=True)
+class ChainSpec(_Lattice):
+    """Chain of L sites with open boundaries and one interaction per bond."""
+
+    d: int
+    r: int
+    L: int
+
+    def __post_init__(self):
+        if self.L < 2:
+            raise InvalidDimensionError(f"chain length must be >= 2, got {self.L}")
+        super().__post_init__()
+
+    @property
+    def sites(self) -> int:
+        return self.L
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return _path_edges(self.L)
 
     @property
     def frustration_free_guaranteed(self) -> bool:
@@ -188,7 +224,7 @@ class ChainSpec:
 
 
 @dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(_Lattice):
     """k-ary tree with L levels (root = level 1) and one interaction per edge."""
 
     d: int
@@ -196,36 +232,15 @@ class TreeSpec:
     k: int
     L: int
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidDimensionError(f"branching factor must be >= 2, got {self.k}")
-        if self.L < 1:
-            raise InvalidDimensionError(f"level count must be >= 1, got {self.L}")
-        if self.d < 2:
-            raise InvalidDimensionError(f"local dimension must be >= 2, got {self.d}")
-        if not (1 <= self.r <= self.d**2):
-            raise InvalidRankError(f"rank {self.r} outside 1..d^2 for d={self.d}")
-        v = self.vertex_count
-        if v * np.log(self.d) > np.log(MAX_STATE_DIM) + 1e-12:
-            raise InvalidDimensionError(
-                f"state dimension d^V with V={v} vertices exceeds {MAX_STATE_DIM}"
-            )
-
     @property
-    def vertex_count(self) -> int:
+    def sites(self) -> int:
         return tree_vertex_count(self.k, self.L)
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.vertex_count
+    vertex_count = sites
 
     @property
     def edges(self) -> list[tuple[int, int]]:
         return tree_edges(self.k, self.L)
-
-    @property
-    def n_terms(self) -> int:
-        return self.vertex_count - 1
 
     @property
     def frustration_free_guaranteed(self) -> bool:
@@ -237,31 +252,60 @@ def _check_projector_dim(P: LocalProjector, d: int):
         raise InvalidDimensionError(f"projector has d={P.d} but the lattice has d={d}")
 
 
+def _edge_matvec(P: LocalProjector, sites: int, edges, x: np.ndarray) -> np.ndarray:
+    """Apply the sum over edges (a, b), a < b, of P on sites a and b to x.
+
+    x may be a vector of dimension d**sites or a (d**sites, m) block.  For an
+    edge (a, b) the state is viewed as (d^a, d, d^(b-a-1), d, rest).  Terms are
+    added edge by edge in the given order, so the result is reproducible.
+    """
+    d = P.d
+    dim = _state_dim(d, sites)
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    if x.shape[0] != dim:
+        raise InvalidDimensionError(
+            f"state dimension {x.shape[0]} does not match d^{sites} = {dim}"
+        )
+    xb = x.reshape(dim, -1)
+    y = np.zeros(xb.shape)  # C order, so that the views of y below never copy
+    for a, b in edges:
+        left, mid, rest = d**a, d ** (b - a - 1), d ** (sites - b - 1) * xb.shape[1]
+        if mid == 1:  # a bond: one product per left index, on plain reshapes
+            ye = y.reshape(left, d * d, rest)
+            ye += P.matrix @ xb.reshape(left, d * d, rest)
+        else:  # the pair moves to the front (a copy) for one wide product
+            shape = (left, d, mid, d, rest)
+            ye = y.reshape(shape).transpose(1, 3, 0, 2, 4)
+            xe = xb.reshape(shape).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
+            ye += (P.matrix @ xe).reshape(ye.shape)
+    return y.reshape(dim) if single else y
+
+
+def _edge_dense(P: LocalProjector, sites: int, edges) -> np.ndarray:
+    """Dense sum over edges (a, b) of P on sites a and b, in the matvec's view."""
+    d = P.d
+    dim = d**sites
+    h = np.zeros((dim, dim))
+    pt = P.matrix.reshape(d, d, d, d)
+    for a, b in edges:
+        left, mid, right = d**a, d ** (b - a - 1), d ** (sites - b - 1)
+        shape = (left, d, mid, d, right)
+        ia = np.arange(left)[:, None, None]
+        im = np.arange(mid)[None, :, None]
+        ib = np.arange(right)[None, None, :]
+        h.reshape(shape + shape)[ia, :, im, :, ib, ia, :, im, :, ib] += pt
+    return h
+
+
 def chain_matvec(P: LocalProjector, L: int, x: np.ndarray) -> np.ndarray:
     """Apply the L-site chain Hamiltonian to x without materializing it.
 
     x may be a vector of dimension d**L or a (d**L, m) block of columns.
-    Terms are summed bond by bond in a fixed order, so the floating-point
-    result is reproducible.
     """
-    d = P.d
     if L < 2:
         raise InvalidDimensionError(f"chain length must be >= 2, got {L}")
-    dim = d**L
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if x.shape[0] != dim:
-        raise InvalidDimensionError(f"state dimension {x.shape[0]} does not match d^L = {dim}")
-    xb = x.reshape(dim, -1)
-    m = xb.shape[1]
-    y = np.zeros_like(xb)
-    d2 = d * d
-    mat = P.matrix
-    for j in range(1, L):
-        left, right = d ** (j - 1), d ** (L - j - 1)
-        x3 = xb.reshape(left, d2, right * m)
-        y += (mat @ x3).reshape(dim, m)
-    return y.reshape(dim) if single else y
+    return _edge_matvec(P, L, _path_edges(L), x)
 
 
 def tree_matvec(P: LocalProjector, k: int, L: int, x: np.ndarray) -> np.ndarray:
@@ -270,58 +314,7 @@ def tree_matvec(P: LocalProjector, k: int, L: int, x: np.ndarray) -> np.ndarray:
     x may be a vector of dimension d**V or a (d**V, m) block.  The projector's
     first tensor factor acts on the parent vertex, the second on the child.
     """
-    d = P.d
-    v_count = tree_vertex_count(k, L)
-    dim = d**v_count
-    if dim > MAX_STATE_DIM:
-        raise InvalidDimensionError(f"state dimension d^V = {dim} exceeds {MAX_STATE_DIM}")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if x.shape[0] != dim:
-        raise InvalidDimensionError(f"state dimension {x.shape[0]} does not match d^V = {dim}")
-    xb = x.reshape(dim, -1)
-    m = xb.shape[1]
-    xt = xb.reshape((d,) * v_count + (m,))
-    yt = np.zeros_like(xt)
-    pt = P.matrix.reshape(d, d, d, d)
-    for parent, child in tree_edges(k, L):
-        term = np.tensordot(pt, xt, axes=([2, 3], [parent, child]))
-        yt += np.moveaxis(term, [0, 1], [parent, child])
-    y = yt.reshape(dim, m)
-    return y.reshape(dim) if single else y
-
-
-def _chain_dense(P: LocalProjector, L: int) -> np.ndarray:
-    d = P.d
-    dim = d**L
-    d2 = d * d
-    h = np.zeros((dim, dim))
-    for j in range(1, L):
-        left, right = d ** (j - 1), d ** (L - j - 1)
-        h6 = h.reshape(left, d2, right, left, d2, right)
-        ia = np.arange(left)[:, None]
-        ib = np.arange(right)[None, :]
-        h6[ia, :, ib, ia, :, ib] += P.matrix
-    return h
-
-
-def _tree_dense(P: LocalProjector, k: int, L: int) -> np.ndarray:
-    d = P.d
-    v_count = tree_vertex_count(k, L)
-    dim = d**v_count
-    h = np.zeros((dim, dim))
-    eye_rest = np.eye(d ** (v_count - 2)) if v_count >= 2 else None
-    for parent, child in tree_edges(k, L):
-        # edge operator assembled on site order [parent, child, others], then
-        # permuted into canonical vertex order
-        e = np.kron(P.matrix, eye_rest)
-        order = [parent, child] + [s for s in range(v_count) if s not in (parent, child)]
-        pos = [0] * v_count
-        for axis, site in enumerate(order):
-            pos[site] = axis
-        perm = pos + [v_count + p for p in pos]
-        h += e.reshape((d,) * (2 * v_count)).transpose(perm).reshape(dim, dim)
-    return h
+    return _edge_matvec(P, tree_vertex_count(k, L), tree_edges(k, L), x)
 
 
 def dense_hamiltonian(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
@@ -334,9 +327,7 @@ def dense_hamiltonian(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarr
         raise InvalidDimensionError(
             f"dimension {spec.dim} exceeds the dense-assembly limit {DENSE_DIM_LIMIT}"
         )
-    if isinstance(spec, ChainSpec):
-        return _chain_dense(P, spec.L)
-    return _tree_dense(P, spec.k, spec.L)
+    return _edge_dense(P, spec.sites, spec.edges)
 
 
 def hamiltonian_matvec(spec: ChainSpec | TreeSpec, P: LocalProjector):

@@ -347,7 +347,8 @@ def gap_report(
     if method == "auto":
         method = "dense" if dim <= AUTO_DENSE_LIMIT else "iterative"
     if method == "dense":
-        evals = dense_spectrum(dense_hamiltonian(spec, P))
+        # dense_hamiltonian is exactly symmetric; the check is for caller matrices
+        evals = dense_spectrum(dense_hamiltonian(spec, P), check_symmetry=False)
         ground = float(evals[0])
         kd = int(np.searchsorted(evals, thr, side="right"))
         ff = ground <= thr

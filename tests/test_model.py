@@ -14,6 +14,7 @@ from gapcert import (
     chain_flat_index,
     chain_matvec,
     dense_hamiltonian,
+    hamiltonian_matvec,
     max_ff_rank,
     pair_flat_index,
     projector_from_family,
@@ -135,6 +136,7 @@ def test_chain_matvec_vs_dense_assembly(d, r, L):
     p = random_projector(d, r, master=10 + L)
     spec = ChainSpec(d, r, L)
     h = dense_hamiltonian(spec, p)
+    assert np.array_equal(h, h.T)  # gap_report skips the symmetry check on it
     x = np.random.default_rng(L).standard_normal(spec.dim)
     assert np.abs(chain_matvec(p, L, x) - h @ x).max() < 1e-12
     # block application agrees with per-column application
@@ -152,6 +154,11 @@ def test_tree_matvec_vs_elementary_oracle(d, k, L):
     x = np.random.default_rng(6).standard_normal(spec.dim)
     assert np.abs(tree_matvec(p, k, L, x) - h @ x).max() < 1e-12
     assert np.abs(dense_hamiltonian(spec, p) - h).max() < 1e-12
+    # block application agrees with the oracle column by column
+    xb = np.random.default_rng(7).standard_normal((spec.dim, 3))
+    yb = tree_matvec(p, k, L, xb)
+    for col in range(3):
+        assert np.abs(yb[:, col] - h @ xb[:, col]).max() < 1e-12
 
 
 def test_tree_matvec_two_edges_is_sum_of_pair_terms():
@@ -205,9 +212,7 @@ def test_tree_matvec_dimension_checks():
 def test_hamiltonian_symmetry_and_positivity(spec):
     p = random_projector(spec.d, spec.r, master=40)
     gen = np.random.default_rng(11)
-    mv = (lambda v: chain_matvec(p, spec.L, v)) if isinstance(spec, ChainSpec) else (
-        lambda v: tree_matvec(p, spec.k, spec.L, v)
-    )
+    mv = hamiltonian_matvec(spec, p)
     for _ in range(5):
         x = gen.standard_normal(spec.dim)
         y = gen.standard_normal(spec.dim)
