@@ -6,6 +6,11 @@ files are a pure function of the configuration: re-running with a different
 worker count reproduces them byte for byte.  Per-row wall time is measured for
 console reporting but deliberately kept out of the files for the same reason.
 
+Each mode's configuration keys are declared once, in `_KEYS`.  `load_config`
+also builds the run's lattices, so a lattice too large for the run is refused
+as a ConfigError before any trial runs.  Gap sweeps and tree runs share one
+trial runner over those lattices.
+
 Output formats: CSV with a fixed header per mode (floats printed with 17
 significant digits; summary statistics appended as '# key=value' comment
 lines), or JSON with ``{"config", "rows", "summary"}``.
@@ -16,9 +21,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -37,17 +44,110 @@ from .model import (
 )
 from .spectral import gap_report
 
-_MODES = ("gap-sweep", "event-frequency", "tree-gap", "cap-table", "certify-one")
+_REQUIRED = object()
 
-_COMMON_KEYS = {"mode", "master_seed", "trials", "out", "format", "threads"}
-_ALLOWED_KEYS = {
-    "gap-sweep": _COMMON_KEYS
-    | {"d", "r", "L", "L_range", "epsilon", "gap_method", "kernel_threshold", "compute_gaps"},
-    "event-frequency": _COMMON_KEYS | {"d", "r", "epsilon"},
-    "tree-gap": _COMMON_KEYS
-    | {"d", "r", "k", "L", "family", "epsilon", "gap_method", "kernel_threshold"},
-    "cap-table": _COMMON_KEYS | {"n_list", "delta_list", "mc_samples"},
-    "certify-one": _COMMON_KEYS | {"d", "r", "k_list", "stream_index", "projector"},
+
+class _Key(NamedTuple):
+    """A key's check on a given (non-null) value, the failure message completing
+    "key 'name' must", its default (_REQUIRED: none) and the given value's conversion."""
+
+    check: Callable[[Any], bool]
+    message: str
+    default: Any = None
+    convert: Callable[[Any], Any] = lambda v: v
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_length(v) -> bool:
+    return _is_int(v) and v >= 2
+
+
+def _int(low: int, high: int | None = None, default=None) -> _Key:
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    return _Key(lambda v: _is_int(v) and low <= v and (high is None or v <= high),
+                f"be an integer {bounds}", default)
+
+
+def _choice(*values: str, default) -> _Key:
+    return _Key(lambda v: v in values, "be one of " + "|".join(values), default)
+
+
+def _list(item, what: str, default, nonempty=True, convert=tuple) -> _Key:
+    return _Key(lambda v: isinstance(v, list) and (bool(v) or not nonempty)
+                and all(map(item, v)),
+                f"be a {'nonempty ' * nonempty}list of {what}", default, convert)
+
+
+_NUMBER = _Key(_is_number, "be a number", None, float)
+_COMMON_KEYS = {
+    "master_seed": _int(0, 2**64 - 1, default=0), "trials": _int(0, default=0),
+    "threads": _int(1, default=1), "out": _Key(lambda v: isinstance(v, str), "be a string path"),
+    "format": _choice("csv", "json", default="csv"),
+}
+_SITE_KEYS = {"d": _int(2, default=_REQUIRED), "r": _int(1, default=_REQUIRED)}
+_GAP_KEYS = {"gap_method": _choice("auto", "dense", "iterative", default="auto"),
+             "kernel_threshold": _NUMBER}
+_KEYS = {
+    "gap-sweep": {
+        **_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
+        "L": _Key(lambda v: _is_length(v) or isinstance(v, list) and all(map(_is_length, v)),
+                  "be an integer >= 2 or a list of them", (),
+                  lambda v: tuple(v) if isinstance(v, list) else (v,)),
+        "L_range": _Key(lambda v: isinstance(v, list) and len(v) == 2
+                        and all(map(_is_length, v)) and v[0] <= v[1],
+                        "be [min, max] with integers 2 <= min <= max"),
+        "compute_gaps": _Key(lambda v: isinstance(v, bool), "be true or false", True),
+        "epsilon": _NUMBER,  # default and window depend on r
+    },
+    "event-frequency": {
+        **_COMMON_KEYS, **_SITE_KEYS,
+        "epsilon": _Key(lambda v: _is_number(v) and 0 <= v < 0.25, "be a number in [0, 1/4)",
+                        _REQUIRED, float),
+    },
+    "tree-gap": {
+        **_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
+        "k": _int(2, default=_REQUIRED), "L": _int(1, default=_REQUIRED),
+        "family": _choice("haar", "near-good", default="haar"),
+        "epsilon": _NUMBER,  # required by, and windowed for, the near-good family
+    },
+    "cap-table": {
+        **_COMMON_KEYS,
+        "n_list": _list(lambda n: _is_int(n) and n >= 1, "integers >= 1", (3, 8, 15)),
+        "delta_list": _list(lambda x: _is_number(x) and 0 < x < math.pi, "radii in (0, pi)",
+                            (0.2, 0.5, 1.0), convert=lambda v: tuple(map(float, v))),
+        "mc_samples": _int(0, default=100_000),
+    },
+    "certify-one": {
+        **_COMMON_KEYS,
+        "format": _Key(lambda v: v == "json",
+                       "be 'json' (certify-one emits a single certificate)", "json"),
+        "d": _int(2), "r": _int(1),  # required unless a projector file is given
+        "k_list": _list(lambda k: _is_int(k) and k >= 1, "integers >= 1", (2,), nonempty=False),
+        "stream_index": _int(0, 2**64 - 1, default=0),
+        "projector": _Key(lambda v: isinstance(v, str), "be a file path"),
+    },
+}
+_MODES = tuple(_KEYS)
+
+# The keys each mode writes into a JSON output's "config", in order.  threads
+# and the output path are execution machinery, not experiment identity; leaving
+# them out keeps files byte-identical across runs.
+_RECORDED = {
+    "gap-sweep": ("mode", "master_seed", "d", "r", "trials", "L", "epsilon", "gap_method",
+                  "kernel_threshold", "compute_gaps", "format"),
+    "event-frequency": ("mode", "master_seed", "d", "r", "trials", "epsilon", "format"),
+    "tree-gap": ("mode", "master_seed", "d", "r", "trials", "k", "L", "family", "epsilon",
+                 "gap_method", "kernel_threshold", "format"),
+    "cap-table": ("mode", "master_seed", "n_list", "delta_list", "mc_samples", "format"),
+    "certify-one": ("mode", "master_seed", "d", "r", "k_list", "stream_index", "projector",
+                    "format"),
 }
 
 SWEEP_HEADER = [
@@ -71,52 +171,40 @@ _WILSON_Z = 1.959963984540054  # 95% two-sided
 
 @dataclass
 class ExperimentConfig:
-    """Validated parameters of one experiment run."""
+    """Validated parameters of one experiment run, as built by `load_config`.
+
+    Keys outside the run's mode stay None.  `L` is the tuple of chain lengths
+    of a gap sweep, or the level count of a tree.  `lattices` holds the specs
+    whose gaps each trial computes; `loaded_projector` the interaction read
+    from the certify-one `projector` file.
+    """
 
     mode: str
+    master_seed: int | None = None
+    trials: int | None = None
+    threads: int | None = None
+    out: str | None = None
+    format: str | None = None
     d: int | None = None
     r: int | None = None
-    L_values: tuple[int, ...] = ()
     k: int | None = None
-    trials: int = 0
-    master_seed: int = 0
+    L: tuple[int, ...] | int | None = None
     epsilon: float | None = None
-    family: str = "haar"
-    gap_method: str = "auto"
+    family: str | None = None
+    gap_method: str | None = None
     kernel_threshold: float | None = None
-    compute_gaps: bool = True
-    n_list: tuple[int, ...] = ()
-    delta_list: tuple[float, ...] = ()
-    mc_samples: int = 100_000
-    k_list: tuple[int, ...] = (2,)
-    stream_index: int = 0
+    compute_gaps: bool | None = None
+    n_list: tuple[int, ...] | None = None
+    delta_list: tuple[float, ...] | None = None
+    mc_samples: int | None = None
+    k_list: tuple[int, ...] | None = None
+    stream_index: int | None = None
     projector: str | None = None
-    out: str | None = None
-    format: str = "csv"
-    threads: int = 1
+    lattices: tuple[ChainSpec | TreeSpec, ...] = ()
+    loaded_projector: LocalProjector | None = None
 
     def to_json_obj(self) -> dict:
-        obj = {"mode": self.mode, "master_seed": self.master_seed}
-        if self.mode in ("gap-sweep", "event-frequency", "tree-gap"):
-            obj.update(d=self.d, r=self.r, trials=self.trials)
-        if self.mode == "gap-sweep":
-            obj.update(L=list(self.L_values), epsilon=self.epsilon,
-                       gap_method=self.gap_method, compute_gaps=self.compute_gaps)
-        if self.mode == "event-frequency":
-            obj.update(epsilon=self.epsilon)
-        if self.mode == "tree-gap":
-            obj.update(k=self.k, L=self.L_values[0] if self.L_values else None,
-                       family=self.family, epsilon=self.epsilon, gap_method=self.gap_method)
-        if self.mode == "cap-table":
-            obj.update(n_list=list(self.n_list), delta_list=list(self.delta_list),
-                       mc_samples=self.mc_samples)
-        if self.mode == "certify-one":
-            obj.update(d=self.d, r=self.r, k_list=list(self.k_list),
-                       stream_index=self.stream_index, projector=self.projector)
-        # threads and output path are execution machinery, not experiment
-        # identity; leaving them out keeps files byte-identical across runs
-        obj.update(format=self.format)
-        return obj
+        return {key: getattr(self, key) for key in _RECORDED[self.mode]}
 
 
 def _require(cond: bool, msg: str):
@@ -124,27 +212,25 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _get_int(obj, key, *, required=False, default=None, low=None, high=None):
-    if key not in obj or obj[key] is None:
-        _require(not required, f"missing required key {key!r}")
-        return default
-    v = obj[key]
-    _require(isinstance(v, int) and not isinstance(v, bool), f"key {key!r} must be an integer")
-    if low is not None:
-        _require(v >= low, f"key {key!r} must be >= {low}, got {v}")
-    if high is not None:
-        _require(v <= high, f"key {key!r} must be <= {high}, got {v}")
-    return v
+def _lattice(cls, *args) -> ChainSpec | TreeSpec:
+    """cls(*args), with a refused size reported as a ConfigError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _get_float(obj, key, *, required=False, default=None):
-    if key not in obj or obj[key] is None:
-        _require(not required, f"missing required key {key!r}")
-        return default
-    v = obj[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"key {key!r} must be a number")
-    return float(v)
+def _read_projector(path: str) -> LocalProjector:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read projector file {path}: {exc}") from exc
+    try:
+        return LocalProjector.from_json(text)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"projector file {path} does not hold a projector: "
+                          f"{type(exc).__name__}: {exc}") from exc
 
 
 def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
@@ -154,117 +240,70 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
     loudly instead of silently running with a default.
     """
     _require(isinstance(obj, dict), "configuration must be a JSON object")
-    obj = dict(obj)
     cfg_mode = obj.get("mode", mode)
     _require(cfg_mode in _MODES, f"mode must be one of {_MODES}, got {cfg_mode!r}")
     if mode is not None:
         _require(cfg_mode == mode, f"config mode {cfg_mode!r} does not match subcommand {mode!r}")
-    unknown = set(obj) - _ALLOWED_KEYS[cfg_mode]
+    keys = _KEYS[cfg_mode]
+    unknown = set(obj) - set(keys) - {"mode"}
     _require(not unknown,
              f"unknown keys for mode {cfg_mode!r}: {sorted(unknown)} "
-             f"(allowed: {sorted(_ALLOWED_KEYS[cfg_mode])})")
-
-    cfg = ExperimentConfig(mode=cfg_mode)
-    cfg.master_seed = _get_int(obj, "master_seed", default=0, low=0, high=2**64 - 1)
-    cfg.trials = _get_int(obj, "trials", default=0, low=0)
-    cfg.threads = _get_int(obj, "threads", default=1, low=1)
-    cfg.out = obj.get("out")
-    _require(cfg.out is None or isinstance(cfg.out, str), "key 'out' must be a string path")
-    cfg.format = obj.get("format", "json" if cfg_mode == "certify-one" else "csv")
-    _require(cfg.format in ("csv", "json"), f"format must be 'csv' or 'json', got {cfg.format!r}")
-
-    if cfg_mode in ("gap-sweep", "event-frequency", "tree-gap"):
-        cfg.d = _get_int(obj, "d", required=True, low=2)
-        cfg.r = _get_int(obj, "r", required=True, low=1)
-        _require(cfg.r <= cfg.d**2, f"rank r={cfg.r} exceeds d^2={cfg.d**2}")
+             f"(allowed: {sorted({'mode', *keys})})")
+    values = {}
+    for name, key in keys.items():
+        value = obj.get(name)
+        if value is None:
+            _require(key.default is not _REQUIRED, f"missing required key {name!r}")
+            values[name] = key.default
+        else:
+            _require(key.check(value), f"key {name!r} must {key.message}, got {value!r}")
+            values[name] = key.convert(value)
+    L_range = values.pop("L_range", None)
+    cfg = ExperimentConfig(mode=cfg_mode, **values)
+    d, r = cfg.d, cfg.r
 
     if cfg_mode == "gap-sweep":
-        _require(cfg.r <= max_ff_rank(cfg.d, "chain"),
-                 f"r={cfg.r} exceeds the frustration-free rank bound "
-                 f"{max_ff_rank(cfg.d, 'chain')} for d={cfg.d}")
+        _require(r <= max_ff_rank(d, "chain"),
+                 f"r={r} exceeds the frustration-free rank bound "
+                 f"{max_ff_rank(d, 'chain')} for d={d}")
         _require(not ("L" in obj and "L_range" in obj), "give either 'L' or 'L_range', not both")
-        if "L_range" in obj and obj["L_range"] is not None:
-            rng = obj["L_range"]
-            _require(isinstance(rng, list) and len(rng) == 2, "'L_range' must be [min, max]")
-            lo, hi = rng
-            _require(isinstance(lo, int) and isinstance(hi, int) and 2 <= lo <= hi,
-                     f"'L_range' bounds must be integers with 2 <= min <= max, got {rng}")
-            cfg.L_values = tuple(range(lo, hi + 1))
-        elif "L" in obj and obj["L"] is not None:
-            lv = obj["L"]
-            if isinstance(lv, int):
-                lv = [lv]
-            _require(isinstance(lv, list) and all(isinstance(x, int) and x >= 2 for x in lv),
-                     f"'L' must be an integer >= 2 or a list of them, got {obj['L']}")
-            cfg.L_values = tuple(lv)
-        cfg.compute_gaps = bool(obj.get("compute_gaps", True)) and bool(cfg.L_values)
-        cfg.gap_method = obj.get("gap_method", "auto")
-        _require(cfg.gap_method in ("auto", "dense", "iterative"),
-                 f"gap_method must be auto|dense|iterative, got {cfg.gap_method!r}")
-        cfg.kernel_threshold = _get_float(obj, "kernel_threshold")
-        default_eps = 1.0 / 16.0 if cfg.r == 1 else 1.0 / (9.0 * cfg.r)
-        cfg.epsilon = _get_float(obj, "epsilon", default=default_eps)
-        _require(0 < cfg.epsilon < 1.0 / (8.0 * cfg.r),
-                 f"epsilon must lie in (0, 1/(8r)) = (0, {1.0/(8.0*cfg.r)}), got {cfg.epsilon}")
+        if L_range is not None:
+            lo, hi = L_range
+            _lattice(ChainSpec, d, r, hi)  # refuses a too long chain before listing the range
+            cfg.L = tuple(range(lo, hi + 1))
+        cfg.compute_gaps = cfg.compute_gaps and bool(cfg.L)
+        if cfg.epsilon is None:
+            cfg.epsilon = 1.0 / 16.0 if r == 1 else 1.0 / (9.0 * r)
+        _require(0 < cfg.epsilon < 1.0 / (8.0 * r),
+                 f"epsilon must lie in (0, 1/(8r)) = (0, {1.0/(8.0*r)}), got {cfg.epsilon}")
         if cfg.compute_gaps:
-            max_dim = max(cfg.d**L for L in cfg.L_values)
-            _require(max_dim <= DENSE_DIM_LIMIT or cfg.gap_method == "iterative",
-                     f"largest dense dimension {max_dim} exceeds {DENSE_DIM_LIMIT}; "
-                     f"select gap_method='iterative' explicitly")
+            cfg.lattices = tuple(_lattice(ChainSpec, d, r, L) for L in cfg.L)
 
     elif cfg_mode == "event-frequency":
-        _require(cfg.r < cfg.d, f"event-frequency requires r < d, got r={cfg.r}, d={cfg.d}")
-        cfg.epsilon = _get_float(obj, "epsilon", required=True)
-        _require(0 <= cfg.epsilon < 0.25,
-                 f"epsilon must lie in [0, 1/4), got {cfg.epsilon}")
+        _require(r < d, f"event-frequency requires r < d, got r={r}, d={d}")
 
     elif cfg_mode == "tree-gap":
-        cfg.k = _get_int(obj, "k", required=True, low=2)
-        _require(cfg.r < cfg.d / cfg.k,
-                 f"tree frustration-freeness requires r < d/k, got r={cfg.r}, d={cfg.d}, k={cfg.k}")
-        levels = _get_int(obj, "L", required=True, low=1)
-        cfg.L_values = (levels,)
-        cfg.family = obj.get("family", "haar")
-        _require(cfg.family in ("haar", "near-good"),
-                 f"family must be 'haar' or 'near-good', got {cfg.family!r}")
-        cfg.epsilon = _get_float(obj, "epsilon")
+        _require(r < d / cfg.k,
+                 f"tree frustration-freeness requires r < d/k, got r={r}, d={d}, k={cfg.k}")
         if cfg.family == "near-good":
             _require(cfg.epsilon is not None, "near-good family requires 'epsilon'")
-            _require(0 < cfg.epsilon < 1.0 / (8.0 * cfg.r),
+            _require(0 < cfg.epsilon < 1.0 / (8.0 * r),
                      f"near-good epsilon must lie in (0, 1/(8r)), got {cfg.epsilon}")
-        cfg.gap_method = obj.get("gap_method", "auto")
-        _require(cfg.gap_method in ("auto", "dense", "iterative"),
-                 f"gap_method must be auto|dense|iterative, got {cfg.gap_method!r}")
-        cfg.kernel_threshold = _get_float(obj, "kernel_threshold")
-
-    elif cfg_mode == "cap-table":
-        n_list = obj.get("n_list", [3, 8, 15])
-        _require(isinstance(n_list, list) and n_list
-                 and all(isinstance(n, int) and n >= 1 for n in n_list),
-                 f"'n_list' must be a nonempty list of integers >= 1, got {n_list}")
-        cfg.n_list = tuple(n_list)
-        delta_list = obj.get("delta_list", [0.2, 0.5, 1.0])
-        _require(isinstance(delta_list, list) and delta_list
-                 and all(isinstance(x, (int, float)) and 0 < x < math.pi for x in delta_list),
-                 f"'delta_list' must be a nonempty list of radii in (0, pi), got {delta_list}")
-        cfg.delta_list = tuple(float(x) for x in delta_list)
-        cfg.mc_samples = _get_int(obj, "mc_samples", default=100_000, low=0)
+        cfg.lattices = (_lattice(TreeSpec, d, r, cfg.k, cfg.L),)
 
     elif cfg_mode == "certify-one":
-        cfg.projector = obj.get("projector")
-        _require(cfg.projector is None or isinstance(cfg.projector, str),
-                 "'projector' must be a file path")
         if cfg.projector is None:
-            cfg.d = _get_int(obj, "d", required=True, low=2)
-            cfg.r = _get_int(obj, "r", required=True, low=1)
-            _require(cfg.r <= cfg.d**2, f"rank r={cfg.r} exceeds d^2={cfg.d**2}")
-        cfg.stream_index = _get_int(obj, "stream_index", default=0, low=0, high=2**64 - 1)
-        k_list = obj.get("k_list", [2])
-        _require(isinstance(k_list, list) and all(isinstance(k, int) and k >= 1 for k in k_list),
-                 f"'k_list' must be a list of integers >= 1, got {k_list}")
-        cfg.k_list = tuple(k_list)
-        _require(cfg.format == "json", "certify-one emits a single certificate; use format 'json'")
+            _require(d is not None, "missing required key 'd'")
+            _require(r is not None, "missing required key 'r'")
+            _require(r <= d**2, f"rank r={r} exceeds d^2={d**2}")
+        else:
+            cfg.loaded_projector = _read_projector(cfg.projector)
 
+    if cfg.gap_method != "iterative":
+        largest = max((spec.dim for spec in cfg.lattices), default=0)
+        _require(largest <= DENSE_DIM_LIMIT,
+                 f"largest dense dimension {largest} exceeds {DENSE_DIM_LIMIT}; "
+                 f"select gap_method='iterative' explicitly")
     return cfg
 
 
@@ -276,6 +315,7 @@ def load_config_file(path: str, mode: str | None = None, overrides: dict | None 
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    _require(isinstance(obj, dict), f"config file {path} must hold a JSON object")
     if overrides:
         obj.update({k: v for k, v in overrides.items() if v is not None})
     return load_config(obj, mode=mode)
@@ -410,41 +450,49 @@ def _error_row(trial: int, cfg: ExperimentConfig, exc: Exception) -> ResultRow:
     )
 
 
-def run_gap_sweep(cfg: ExperimentConfig) -> RunResult:
-    """Sample -> projector -> certificate (-> exact gaps) for each trial."""
+def run_lattice_gaps(cfg: ExperimentConfig) -> RunResult:
+    """Sample -> projector -> certificate -> exact gap on each of cfg.lattices, per trial.
+
+    Serves gap-sweep (one row per chain length, or one certificate-only row
+    when no gaps are computed; verdict from the chain bound) and tree-gap (one
+    row per trial; verdict from the tree bound).
+    """
     t_start = time.perf_counter()
+    tree = cfg.mode == "tree-gap"
 
     def worker(trial: int) -> list[ResultRow]:
         t0 = time.perf_counter()
         try:
             seed = RandomSeed(cfg.master_seed, trial)
-            family = sample_family(cfg.d, cfg.r, seed)
+            if cfg.family == "near-good":
+                family = construct_near_good(cfg.d, cfg.r, cfg.epsilon, seed)
+            else:
+                family = sample_family(cfg.d, cfg.r, seed)
             proj = projector_from_family(family)
-            cert = certify(proj)
+            cert = certify(proj, k_list=(cfg.k,) if tree else ())
+            tree_bound = cert.tree_bounds[cfg.k] if tree else None
+            bound = tree_bound if tree else cert.chain_bound
             base = dict(
-                trial=trial, d=cfg.d, r=cfg.r,
+                trial=trial, d=cfg.d, r=cfg.r, k=cfg.k,
                 coupling_norm=cert.coupling_norm, gamma_loc=cert.gamma_loc,
                 gamma_loc_lb=cert.gamma_loc_lb, chain_bound=cert.chain_bound,
-                verdict=cert.verdict,
+                tree_bound=tree_bound,
+                verdict="certified-gapped" if bound > 0 else "inconclusive",
             )
             rows = []
-            if cfg.compute_gaps:
-                for L in cfg.L_values:
-                    rep = gap_report(
-                        ChainSpec(cfg.d, cfg.r, L), proj, method=cfg.gap_method,
-                        kernel_threshold=cfg.kernel_threshold, seed=seed,
-                    )
-                    rows.append(ResultRow(
-                        L=L, ground_energy=rep.ground_energy, kernel_dim=rep.kernel_dim,
-                        gap=rep.gap, gap_status="ok",
-                        frustration_free=rep.frustration_free, **base,
-                    ))
-            else:
-                rows.append(ResultRow(**base))
+            for spec in cfg.lattices:
+                rep = gap_report(spec, proj, method=cfg.gap_method,
+                                 kernel_threshold=cfg.kernel_threshold, seed=seed)
+                rows.append(ResultRow(
+                    L=spec.L, ground_energy=rep.ground_energy, kernel_dim=rep.kernel_dim,
+                    gap=rep.gap, gap_status="n/a" if rep.method == "trivial" else "ok",
+                    frustration_free=rep.frustration_free, **base,
+                ))
+            rows = rows or [ResultRow(**base)]
             for row in rows:
                 row.wall_time = time.perf_counter() - t0
             return rows
-        except Exception as exc:  # crash isolation: a failing trial must not abort the sweep
+        except Exception as exc:  # crash isolation: a failing trial must not abort the run
             return [_error_row(trial, cfg, exc)]
 
     rows = [row for group in _map_indexed(worker, cfg.trials, cfg.threads) for row in group]
@@ -452,21 +500,25 @@ def run_gap_sweep(cfg: ExperimentConfig) -> RunResult:
     failed = len(rows) - completed
     certified = sum(1 for row in rows if row.status == "ok" and row.verdict == "certified-gapped")
     fraction = certified / completed if completed else None
-    bound = capgeom.gap_probability_bound(cfg.d, cfg.r, cfg.epsilon)
     summary = {
         "trials": cfg.trials,
         "completed_rows": completed,
         "failed_rows": failed,
         "certified_rows": certified,
         "certified_fraction": fraction,
-        "epsilon": cfg.epsilon,
-        "certified_gap_level": 1.0 - 8.0 * cfg.r * cfg.epsilon,
-        "gap_probability_bound": bound,
-        "fraction_exceeds_bound": (fraction >= bound) if fraction is not None else None,
     }
+    if not tree:
+        bound = capgeom.gap_probability_bound(cfg.d, cfg.r, cfg.epsilon)
+        summary.update(
+            epsilon=cfg.epsilon,
+            certified_gap_level=1.0 - 8.0 * cfg.r * cfg.epsilon,
+            gap_probability_bound=bound,
+            fraction_exceeds_bound=(fraction >= bound) if fraction is not None else None,
+        )
     return RunResult(
-        mode=cfg.mode, header=SWEEP_HEADER, rows=rows, summary=summary, config=cfg,
-        exit_code=2 if failed else 0, wall_time=time.perf_counter() - t_start,
+        mode=cfg.mode, header=TREE_HEADER if tree else SWEEP_HEADER, rows=rows,
+        summary=summary, config=cfg, exit_code=2 if failed else 0,
+        wall_time=time.perf_counter() - t_start,
     )
 
 
@@ -518,62 +570,6 @@ def run_event_frequency(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def run_tree_gap(cfg: ExperimentConfig) -> RunResult:
-    """Tree certificate plus exact tree gap (where the dimension permits) per trial."""
-    t_start = time.perf_counter()
-    levels = cfg.L_values[0]
-    k = cfg.k
-
-    def worker(trial: int) -> list[ResultRow]:
-        t0 = time.perf_counter()
-        try:
-            seed = RandomSeed(cfg.master_seed, trial)
-            if cfg.family == "near-good":
-                family = construct_near_good(cfg.d, cfg.r, cfg.epsilon, seed)
-            else:
-                family = sample_family(cfg.d, cfg.r, seed)
-            proj = projector_from_family(family)
-            cert = certify(proj, k_list=(k,))
-            tb = cert.tree_bounds[k]
-            row = ResultRow(
-                trial=trial, d=cfg.d, r=cfg.r, k=k, L=levels,
-                coupling_norm=cert.coupling_norm, gamma_loc=cert.gamma_loc,
-                gamma_loc_lb=cert.gamma_loc_lb, chain_bound=cert.chain_bound,
-                tree_bound=tb, verdict="certified-gapped" if tb > 0 else "inconclusive",
-            )
-            spec = TreeSpec(cfg.d, cfg.r, k, levels)
-            if spec.dim <= DENSE_DIM_LIMIT or cfg.gap_method == "iterative":
-                rep = gap_report(spec, proj, method=cfg.gap_method,
-                                 kernel_threshold=cfg.kernel_threshold, seed=seed)
-                row.ground_energy = rep.ground_energy
-                row.kernel_dim = rep.kernel_dim
-                row.gap = rep.gap
-                row.gap_status = "n/a" if rep.method == "trivial" else "ok"
-                row.frustration_free = rep.frustration_free
-            else:
-                row.gap_status = "skipped"
-            row.wall_time = time.perf_counter() - t0
-            return [row]
-        except Exception as exc:  # crash isolation: a failing trial must not abort the run
-            return [_error_row(trial, cfg, exc)]
-
-    rows = [row for group in _map_indexed(worker, cfg.trials, cfg.threads) for row in group]
-    completed = sum(1 for row in rows if row.status == "ok")
-    failed = len(rows) - completed
-    certified = sum(1 for row in rows if row.status == "ok" and row.verdict == "certified-gapped")
-    summary = {
-        "trials": cfg.trials,
-        "completed_rows": completed,
-        "failed_rows": failed,
-        "certified_rows": certified,
-        "certified_fraction": certified / completed if completed else None,
-    }
-    return RunResult(
-        mode=cfg.mode, header=TREE_HEADER, rows=rows, summary=summary, config=cfg,
-        exit_code=2 if failed else 0, wall_time=time.perf_counter() - t_start,
-    )
-
-
 def run_cap_table(cfg: ExperimentConfig) -> RunResult:
     """Exact cap measures vs the closed-form bound and a Monte Carlo estimate."""
     t_start = time.perf_counter()
@@ -605,10 +601,8 @@ def run_cap_table(cfg: ExperimentConfig) -> RunResult:
 def run_certify_one(cfg: ExperimentConfig) -> RunResult:
     """Certify a single interaction, read from a file or sampled from a seed."""
     t_start = time.perf_counter()
-    if cfg.projector is not None:
-        with open(cfg.projector, "r", encoding="utf-8") as f:
-            proj = LocalProjector.from_json(f.read())
-    else:
+    proj = cfg.loaded_projector
+    if proj is None:
         seed = RandomSeed(cfg.master_seed, cfg.stream_index)
         proj = projector_from_family(sample_family(cfg.d, cfg.r, seed))
     cert = certify(proj, k_list=cfg.k_list)
@@ -619,9 +613,9 @@ def run_certify_one(cfg: ExperimentConfig) -> RunResult:
 
 
 _RUNNERS = {
-    "gap-sweep": run_gap_sweep,
+    "gap-sweep": run_lattice_gaps,
     "event-frequency": run_event_frequency,
-    "tree-gap": run_tree_gap,
+    "tree-gap": run_lattice_gaps,
     "cap-table": run_cap_table,
     "certify-one": run_certify_one,
 }

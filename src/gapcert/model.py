@@ -101,6 +101,8 @@ class LocalProjector:
     seed: RandomSeed | None = None
 
     def __post_init__(self):
+        if self.d < 2:
+            raise InvalidDimensionError(f"local dimension must be >= 2, got {self.d}")
         d2 = self.d**2
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (d2, d2):
@@ -231,6 +233,15 @@ class TreeSpec(_Lattice):
     r: int
     k: int
     L: int
+
+    def __post_init__(self):
+        # L levels hold at least L vertices, so this refuses a deep tree before
+        # its vertex count, an integer of about L bits, is formed
+        if self.L > MAX_STATE_DIM.bit_length():
+            raise InvalidDimensionError(
+                f"a tree of {self.L} levels exceeds the state dimension limit {MAX_STATE_DIM}"
+            )
+        super().__post_init__()
 
     @property
     def sites(self) -> int:

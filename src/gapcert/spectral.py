@@ -47,8 +47,9 @@ KERNEL_EPS_PER_TERM = 1e-9
 #: residual tolerance of the iterative solver, relative to the spectral scale
 DEFAULT_RES_RTOL = 1e-9
 
-_KERNEL_PROBE_START = 8
-_KERNEL_PROBE_CAP = 128
+#: block widths of `_growing_solves`, doubling from the start up to the cap
+_GROWING_START = 8
+_GROWING_CAP = 128
 
 #: Lanczos steps between Rayleigh-Ritz checks (an eigh of T costs far more than a step)
 _RITZ_INTERVAL = 8
@@ -292,25 +293,11 @@ def smallest_eig_above(
 
 
 def _growing_solves(matvec, dim, rng, res_rtol, stats):
-    """Solves for the lowest m = 8, 16, ... eigenvalues (block width m), up to the probe cap."""
-    m = _KERNEL_PROBE_START
-    while m <= min(_KERNEL_PROBE_CAP, dim):
+    """Solves for the lowest m = 8, 16, ... eigenvalues (block width m), up to the cap."""
+    m = _GROWING_START
+    while m <= min(_GROWING_CAP, dim):
         yield _lanczos(matvec, dim, m, rng, res_rtol=res_rtol, stats=stats)
         m *= 2
-
-
-def _kernel_probe(matvec, dim, threshold, rng, res_rtol, stats):
-    """Count kernel states by doubling the requested eigenvalue count.
-
-    Returns the count of sub-threshold eigenvalues once a value above the
-    threshold shows up, or None when the cap is reached first (kernel larger
-    than the probe can resolve; left unresolved rather than failing the report).
-    """
-    for theta, exhausted in _growing_solves(matvec, dim, rng, res_rtol, stats):
-        below = int(np.sum(theta <= threshold))
-        if below < theta.size or (exhausted and theta.size >= dim):
-            return below
-    return None
 
 
 def gap_report(
@@ -320,7 +307,6 @@ def gap_report(
     method: str = "auto",
     kernel_threshold: float | None = None,
     seed: RandomSeed | None = None,
-    resolve_kernel_dim: bool = False,
     res_rtol: float = DEFAULT_RES_RTOL,
 ) -> SpectralReport:
     """Ground energy, kernel dimension, and spectral gap of one Hamiltonian.
@@ -330,10 +316,10 @@ def gap_report(
     The gap is the smallest eigenvalue above the kernel threshold; if the ground
     energy itself exceeds the threshold the instance is flagged non-frustration-
     free and the gap falls back to the spacing between the two lowest distinct
-    levels.  On the iterative path the kernel dimension is only resolved on
-    request (it can exceed any practical probe size) and may come back None;
-    the report also carries the solver's work (iterations, matvec columns,
-    restarts) and the largest residual of a converged Ritz pair.
+    levels.  On the iterative path the kernel dimension of a frustration-free
+    instance is not resolved (it can run to thousands of states) and comes
+    back None; the report also carries the solver's work (iterations, matvec
+    columns, restarts) and the largest residual of a converged Ritz pair.
     """
     dim = spec.dim
     n_terms = spec.n_terms
@@ -377,8 +363,6 @@ def gap_report(
         if gap is None:
             raise SolverConvergenceError("no eigenvalue found above the kernel threshold")
         kd = None
-        if resolve_kernel_dim:
-            kd = _kernel_probe(matvec, dim, thr, rng, res_rtol, stats)
     else:
         kd = 0
         for vals, _ in _growing_solves(matvec, dim, rng, res_rtol, stats):

@@ -39,7 +39,7 @@ from gapcert import (
     sample_family,
     sample_sphere,
 )
-from gapcert.harness import load_config, run_event_frequency, run_gap_sweep
+from gapcert.harness import load_config, run_event_frequency, run_experiment
 from conftest import cli_env, random_projector_matrix
 
 
@@ -262,7 +262,7 @@ def test_criterion_10_positive_probability_reproduction():
         "mode": "gap-sweep", "d": 3, "r": 1, "trials": 2000,
         "master_seed": 1010, "compute_gaps": False, "epsilon": 1.0 / 16.0,
     })
-    result = run_gap_sweep(cfg)
+    result = run_experiment(cfg)
     s = result.summary
     bound = gap_probability_bound(3, 1, 1.0 / 16.0)
     ok = (

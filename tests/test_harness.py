@@ -14,8 +14,7 @@ from gapcert.harness import (
     run_cap_table,
     run_certify_one,
     run_event_frequency,
-    run_gap_sweep,
-    run_tree_gap,
+    run_experiment,
     wilson_interval,
 )
 from conftest import cli_env
@@ -63,7 +62,7 @@ def test_L_and_range_exclusive():
     with pytest.raises(ConfigError, match="not both"):
         load_config({"mode": "gap-sweep", "d": 2, "r": 1, "L": 4, "L_range": [4, 6]})
     cfg = load_config({"mode": "gap-sweep", "d": 2, "r": 1, "L_range": [4, 6]})
-    assert cfg.L_values == (4, 5, 6)
+    assert cfg.L == (4, 5, 6)
 
 
 def test_dense_budget_requires_explicit_iterative():
@@ -71,6 +70,43 @@ def test_dense_budget_requires_explicit_iterative():
         load_config({"mode": "gap-sweep", "d": 3, "r": 1, "L": [10]})
     cfg = load_config({"mode": "gap-sweep", "d": 3, "r": 1, "L": [10], "gap_method": "iterative"})
     assert cfg.gap_method == "iterative"
+    tree = {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 4}  # dimension 3^15
+    with pytest.raises(ConfigError, match="iterative"):
+        load_config(tree)
+    cfg = load_config(dict(tree, gap_method="iterative"))
+    assert cfg.gap_method == "iterative"
+
+
+def test_flag_and_list_types_are_strict():
+    with pytest.raises(ConfigError, match="compute_gaps"):
+        load_config({"mode": "gap-sweep", "d": 2, "r": 1, "L": 4, "compute_gaps": "false"})
+    for key, value in (("n_list", [1, True]), ("delta_list", [0.2, True])):
+        with pytest.raises(ConfigError, match=key):
+            load_config({"mode": "cap-table", key: value})
+    with pytest.raises(ConfigError, match="k_list"):
+        load_config({"mode": "certify-one", "d": 3, "r": 1, "k_list": [True]})
+
+
+def test_lattices_above_the_state_limit_rejected():
+    iterative = {"gap_method": "iterative"}
+    for obj in (
+        {"mode": "gap-sweep", "d": 3, "r": 1, "L": [20], **iterative},
+        {"mode": "gap-sweep", "d": 3, "r": 1, "L_range": [4, 40], **iterative},
+        # the range's upper end is refused before the range is listed
+        {"mode": "gap-sweep", "d": 3, "r": 1, "L_range": [2, 10**12], "compute_gaps": False},
+        {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 5, **iterative},
+        {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 10**12, **iterative},
+    ):
+        with pytest.raises(ConfigError, match="exceeds"):
+            load_config(obj)
+
+
+def test_kernel_threshold_recorded_in_json_config():
+    for base in ({"mode": "gap-sweep", "d": 2, "r": 1, "L": 4},
+                 {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 2}):
+        assert load_config(dict(base, format="json")).to_json_obj()["kernel_threshold"] is None
+        cfg = load_config(dict(base, format="json", kernel_threshold=1e-6, trials=1))
+        assert json.loads(run_experiment(cfg).render())["config"]["kernel_threshold"] == 1e-6
 
 
 def test_certify_one_requires_json():
@@ -79,7 +115,7 @@ def test_certify_one_requires_json():
 
 
 def test_sweep_empty_run():
-    result = run_gap_sweep(_sweep_cfg(trials=0))
+    result = run_experiment(_sweep_cfg(trials=0))
     assert result.rows == []
     assert result.summary["certified_fraction"] is None
     assert result.exit_code == 0
@@ -89,7 +125,7 @@ def test_sweep_empty_run():
 
 
 def test_sweep_rows_and_summary():
-    result = run_gap_sweep(_sweep_cfg(trials=5))
+    result = run_experiment(_sweep_cfg(trials=5))
     assert len(result.rows) == 5
     for row in result.rows:
         assert row.status == "ok"
@@ -104,7 +140,7 @@ def test_sweep_rows_and_summary():
 
 
 def test_sweep_rows_per_length():
-    result = run_gap_sweep(_sweep_cfg(trials=2, L=[4, 5, 6]))
+    result = run_experiment(_sweep_cfg(trials=2, L=[4, 5, 6]))
     assert len(result.rows) == 6
     assert [r.L for r in result.rows] == [4, 5, 6, 4, 5, 6]
 
@@ -120,7 +156,7 @@ def test_crash_isolation(monkeypatch):
         return real(p, k_list)
 
     monkeypatch.setattr(harness, "certify", flaky)
-    result = run_gap_sweep(_sweep_cfg(trials=4))
+    result = run_experiment(_sweep_cfg(trials=4))
     errors = [r for r in result.rows if r.status == "error"]
     assert len(errors) == 1
     assert "synthetic trial failure" in errors[0].error
@@ -139,14 +175,14 @@ def test_crash_isolation(monkeypatch):
 def test_render_deterministic_across_threads():
     cfg1 = _sweep_cfg(trials=8, L=[4, 5], threads=1)
     cfg3 = _sweep_cfg(trials=8, L=[4, 5], threads=3)
-    assert run_gap_sweep(cfg1).render() == run_gap_sweep(cfg3).render()
+    assert run_experiment(cfg1).render() == run_experiment(cfg3).render()
     cfg_json1 = _sweep_cfg(trials=6, threads=1, format="json")
     cfg_json3 = _sweep_cfg(trials=6, threads=3, format="json")
-    assert run_gap_sweep(cfg_json1).render() == run_gap_sweep(cfg_json3).render()
+    assert run_experiment(cfg_json1).render() == run_experiment(cfg_json3).render()
 
 
 def test_csv_floats_roundtrip():
-    result = run_gap_sweep(_sweep_cfg(trials=1))
+    result = run_experiment(_sweep_cfg(trials=1))
     text = result.render()
     header, row = text.splitlines()[:2]
     cells = dict(zip(header.split(","), row.split(",")))
@@ -189,7 +225,7 @@ def test_event_frequency_deterministic_across_chunk_threads():
 
 def test_tree_run_no_edges_marker():
     cfg = load_config({"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 1, "trials": 1})
-    row = run_tree_gap(cfg).rows[0]
+    row = run_experiment(cfg).rows[0]
     assert row.gap_status == "n/a"
     assert row.gap is None
     assert row.ground_energy == 0.0
@@ -199,14 +235,14 @@ def test_tree_run_no_edges_marker():
 def test_tree_run_haar_and_near_good():
     cfg = load_config({"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 2, "trials": 2,
                        "master_seed": 11})
-    result = run_tree_gap(cfg)
+    result = run_experiment(cfg)
     for row in result.rows:
         assert row.status == "ok" and row.gap_status == "ok"
         assert row.frustration_free and row.gap > 0
         assert row.gap >= row.tree_bound - 1e-8
     near = load_config({"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 2, "trials": 2,
                         "family": "near-good", "epsilon": 1.0 / 18.0})
-    res2 = run_tree_gap(near)
+    res2 = run_experiment(near)
     for row in res2.rows:
         # near-reference families are chain-certified only: their sibling
         # overlaps (two edges from one parent) bound the tree gap near zero
@@ -264,6 +300,29 @@ def test_cli_config_error_exit_code(tmp_path):
     proc = _run_cli(["sweep", "--config", str(cfg)], tmp_path)
     assert proc.returncode == 1
     assert "configuration error" in proc.stderr
+
+
+def test_cli_unreadable_inputs_are_config_errors(tmp_path):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    bad = tmp_path / "bad_projector.json"
+    bad.write_text(json.dumps({"d": 3, "r": 1, "matrix": [1, 2]}))
+    negative = tmp_path / "negative_d.json"  # d^2 = 9 fits the matrix, d does not
+    negative.write_text(json.dumps({"d": -3, "r": 1, "matrix": reference_projector(3, 1)
+                                    .matrix.ravel().tolist()}))
+    infinite = tmp_path / "infinite_d.json"
+    infinite.write_text('{"d": 1e400, "r": 1, "matrix": [1]}')
+    for args in (
+        ["sweep", "--config", str(array)],
+        ["certify", "--projector", str(tmp_path / "missing.json")],
+        ["certify", "--projector", str(bad)],
+        ["certify", "--projector", str(negative)],
+        ["certify", "--projector", str(infinite)],
+    ):
+        proc = _run_cli(args, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("configuration error: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_sweep_writes_file_and_exit_zero(tmp_path):

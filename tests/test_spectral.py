@@ -181,9 +181,6 @@ def test_iterative_and_dense_gap_agree(spec, master):
 def test_iterative_kernel_dim_resolution():
     p = random_projector(2, 1, master=74)
     spec = ChainSpec(2, 1, 8)
-    dense = gap_report(spec, p, method="dense")
-    iterative = gap_report(spec, p, method="iterative", resolve_kernel_dim=True)
-    assert iterative.kernel_dim == dense.kernel_dim
     lazy = gap_report(spec, p, method="iterative")
     assert lazy.kernel_dim is None
 
