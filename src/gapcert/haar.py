@@ -9,7 +9,10 @@ Randomness is counter based.  Every sample is drawn from a Philox-4x64 stream
 keyed by ``(master_seed, stream_index)``, so a given seed pair always yields a
 bit-identical sample, independent of process, thread count, or call order.
 Normal variates come from numpy's ``Generator.standard_normal`` (ziggurat
-transform), which is deterministic for a pinned numpy version.
+transform), which is deterministic for a pinned numpy version.  Since a
+stream is fixed by its key alone, a batch re-keys one generator in place for
+each trial (key set, counter zero, buffer empty) and draws exactly what a
+freshly built generator would.
 """
 
 from __future__ import annotations
@@ -127,14 +130,24 @@ def sample_family_batch(d: int, r: int, master_seed: int, start: int, count: int
 
     Returns an array of shape (count, r, d**2), bit-identical to looping over
     ``sample_family`` one trial at a time (stream indices start .. start+count-1).
-    The per-trial Gaussian draws are collected first and the QR factorizations
-    run as one stacked LAPACK call, which is considerably faster.
+    One Philox generator is re-keyed for each trial, the per-trial Gaussian
+    draws are collected first, and the full QR factorizations run as one
+    stacked LAPACK call, which is considerably faster.
     """
     n = d**2
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if count:
+        RandomSeed(master_seed, start)  # refuses a range outside the 64-bit stream indices
+        RandomSeed(master_seed, start + count - 1)
+    bg = np.random.Philox(key=0)
+    gen = np.random.Generator(bg)
+    empty = np.zeros(4, dtype=_U64)
     gauss = np.empty((count, n, n))
     for i in range(count):
-        gauss[i] = RandomSeed(master_seed, start + i).generator().standard_normal((n, n))
+        bg.state = {"bit_generator": "Philox",
+                    "state": {"counter": empty, "key": np.array([master_seed, start + i], dtype=_U64)},
+                    "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        gauss[i] = gen.standard_normal((n, n))
     q = _qr_orthogonal(gauss)
     return np.swapaxes(q[:, :, :r], 1, 2).copy()

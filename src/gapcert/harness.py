@@ -1,10 +1,15 @@
 """Seeded Monte Carlo experiment harness behind the command-line interface.
 
 Every trial's randomness comes solely from (master_seed, trial_index), trials
-are independent, and rows are sorted by trial index before writing, so output
-files are a pure function of the configuration: re-running with a different
-worker count reproduces them byte for byte.  Per-row wall time is measured for
-console reporting but deliberately kept out of the files for the same reason.
+are independent, and rows are sorted by trial index before writing.
+`run_experiment` runs numpy's BLAS on one thread and restores the previous
+count when it returns, so the worker pool is a run's only parallelism and no
+result depends on how BLAS splits its work.  Output files are therefore a pure
+function of the configuration: re-running with any worker count and any
+``OPENBLAS_NUM_THREADS`` reproduces them byte for byte.  The pin needs an
+OpenBLAS build of numpy (the bundled one is); with another BLAS the run is left
+unpinned.  Per-row wall time is measured for console reporting but
+deliberately kept out of the files for the same reason.
 
 Each mode's configuration keys are declared once, in `_KEYS`.  `load_config`
 also builds the run's lattices, so a lattice too large for the run is refused
@@ -18,11 +23,15 @@ lines), or JSON with ``{"config", "rows", "summary"}``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, NamedTuple
@@ -621,5 +630,62 @@ _RUNNERS = {
 }
 
 
+# (getter, setter) names of the BLAS thread count in OpenBLAS builds: numpy's
+# bundled scipy-openblas (64-bit and 32-bit integers) and plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the BLAS numpy loaded; None if it exports neither."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_runs = 0
+_blas_saved = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Single-threaded BLAS for the body.  The count is global to the process, so
+    concurrent runs share one pin and the last to finish restores the count."""
+    global _blas_runs, _blas_saved
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_runs == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_runs += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_runs -= 1
+            if _blas_runs == 0:
+                set_(_blas_saved)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    return _RUNNERS[cfg.mode](cfg)
+    """Run a validated configuration, with BLAS on one thread (see the module docstring)."""
+    with _one_blas_thread():
+        return _RUNNERS[cfg.mode](cfg)

@@ -128,7 +128,10 @@ class LocalProjector:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LocalProjector":
-        d, r = int(obj["d"]), int(obj["r"])
+        d, r = obj["d"], obj["r"]
+        for name, v in (("d", d), ("r", r)):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"'{name}' must be an integer, got {v!r}")
         m = np.asarray(obj["matrix"], dtype=float).reshape(d**2, d**2)
         return cls(d=d, r=r, matrix=m)
 

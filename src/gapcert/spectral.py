@@ -173,7 +173,7 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
 
     def apply(rows):
         stats.matvec_columns += rows.shape[0]
-        return np.asarray(matvec(rows.T), dtype=float).T
+        return np.asarray(matvec(np.ascontiguousarray(rows.T)), dtype=float).T
 
     def fresh(n):
         z = rng.standard_normal((nev, dim))

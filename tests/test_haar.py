@@ -106,11 +106,22 @@ def test_family_constructor_rejects_non_orthonormal():
         OrthonormalFamily(d=2, r=2, vectors=vecs)
 
 
-def test_batch_matches_per_trial_loop():
-    batch = sample_family_batch(2, 1, master_seed=17, start=3, count=6)
-    for i in range(6):
-        fam = sample_family(2, 1, RandomSeed(17, 3 + i))
+@pytest.mark.parametrize("d, r, count", [(2, 1, 6), (3, 1, 200), (3, 2, 200), (3, 9, 200)])
+def test_batch_matches_per_trial_loop(d, r, count):
+    batch = sample_family_batch(d, r, master_seed=17, start=3, count=count)
+    assert batch.shape == (count, r, d * d)
+    for i in range(count):
+        fam = sample_family(d, r, RandomSeed(17, 3 + i))
         assert np.array_equal(batch[i], fam.vectors)
+
+
+def test_batch_stream_range_validated():
+    last = sample_family_batch(2, 1, master_seed=5, start=2**64 - 1, count=1)
+    assert np.array_equal(last[0], sample_family(2, 1, RandomSeed(5, 2**64 - 1)).vectors)
+    with pytest.raises(ValueError):
+        sample_family_batch(2, 1, master_seed=5, start=2**64 - 2, count=3)
+    with pytest.raises(ValueError):
+        sample_family_batch(2, 1, master_seed=2**64, start=0, count=1)
 
 
 def test_first_column_is_normalized_gaussian_column():

@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -279,6 +281,64 @@ def test_certify_one_from_seed_and_file(tmp_path):
     assert payload["coupling_norm"] < 1e-12
 
 
+_needs_openblas = pytest.mark.skipif(harness._blas_threads() is None,
+                                     reason="numpy's BLAS exports no OpenBLAS thread count")
+
+
+@_needs_openblas
+def test_run_experiment_pins_blas_and_restores(monkeypatch):
+    get, set_ = harness._blas_threads()
+    original = get()
+    seen = []
+
+    def runner(cfg):
+        seen.append(get())
+        if cfg.trials == 1:
+            raise RuntimeError("runner failed")
+        return harness.run_lattice_gaps(cfg)
+
+    monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
+    try:
+        set_(2)
+        result = run_experiment(_sweep_cfg())
+        assert result.exit_code == 0 and get() == 2
+        with pytest.raises(RuntimeError, match="runner failed"):
+            run_experiment(_sweep_cfg(trials=1))
+        assert get() == 2
+        assert seen == [1, 1]
+    finally:
+        set_(original)
+
+
+@_needs_openblas
+def test_concurrent_runs_share_one_pin(monkeypatch):
+    # more callers than cores, switching often: every run must see one BLAS
+    # thread, and the count must come back only after the last run ends
+    get, set_ = harness._blas_threads()
+    original, interval = get(), sys.getswitchinterval()
+    seen = []
+
+    def runner(cfg):
+        seen.append(get())
+        time.sleep(0.001)
+        seen.append(get())
+        return None
+
+    monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
+    cfg = _sweep_cfg()
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-5)
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            for fut in [ex.submit(run_experiment, cfg) for _ in range(200)]:
+                fut.result(timeout=60)
+        assert len(seen) == 400 and set(seen) == {1}
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(original)
+
+
 def test_wilson_interval_sanity():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi < 0.05
@@ -287,10 +347,10 @@ def test_wilson_interval_sanity():
     assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, env=None):
     return subprocess.run(
         [sys.executable, "-m", "gapcert", *args],
-        capture_output=True, text=True, cwd=cwd, env=cli_env(),
+        capture_output=True, text=True, cwd=cwd, env=env or cli_env(),
     )
 
 
@@ -325,6 +385,18 @@ def test_cli_unreadable_inputs_are_config_errors(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("rank", ["1.7", "true"])
+def test_cli_projector_rank_must_be_an_integer(tmp_path, rank):
+    # the reference matrix has rank 1, so only the type of "r" is wrong
+    path = tmp_path / "projector.json"
+    matrix = json.dumps(reference_projector(3, 1).matrix.ravel().tolist())
+    path.write_text(f'{{"d": 3, "r": {rank}, "matrix": {matrix}}}')
+    proc = _run_cli(["certify", "--projector", str(path)], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: ")
+    assert "'r' must be an integer" in proc.stderr
+
+
 def test_cli_sweep_writes_file_and_exit_zero(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "gap-sweep", "d": 2, "r": 1, "trials": 3, "L": [4]}))
@@ -352,6 +424,24 @@ def test_cli_threads_byte_identical_output(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_output_independent_of_blas_threads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"mode": "gap-sweep", "d": 3, "r": 1, "trials": 6, "L": [6], "master_seed": 21}
+    ))
+    outs = []
+    for blas_threads in (None, "1", "2"):
+        env = cli_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        out = tmp_path / f"rows_{blas_threads}.csv"
+        proc = _run_cli(["sweep", "--config", str(cfg), "--out", str(out)], tmp_path, env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cli_certify_from_seed_stdout(tmp_path):

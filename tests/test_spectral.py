@@ -78,6 +78,24 @@ def test_lowest_eigs_matches_dense_with_kernel_multiplicity():
     assert np.abs(approx - evals[:4]).max() < 1e-8
 
 
+def test_solver_hands_matvec_c_ordered_blocks():
+    # the edge kernel reshapes its input; a Fortran-ordered block would be
+    # copied once per edge instead of once per call
+    p = random_projector(2, 1, master=62)
+    spec = ChainSpec(2, 1, 8)
+    inner = hamiltonian_matvec(spec, p)
+    seen = []
+
+    def matvec(x):
+        seen.append((x.shape[1], x.flags.c_contiguous))
+        return inner(x)
+
+    lowest_eigs(matvec, spec.dim, 4, seed=RandomSeed(0, 1))
+    smallest_eig_above(matvec, spec.dim, 1e-8, seed=RandomSeed(0, 1))
+    assert {width for width, _ in seen} >= {1, 4}
+    assert all(contiguous for _, contiguous in seen)
+
+
 def test_lowest_eigs_zero_operator():
     vals = lowest_eigs(lambda x: np.zeros_like(x), 10, 4)
     assert np.abs(vals).max() == 0.0
