@@ -106,8 +106,15 @@ def test_family_constructor_rejects_non_orthonormal():
         OrthonormalFamily(d=2, r=2, vectors=vecs)
 
 
-@pytest.mark.parametrize("d, r, count", [(2, 1, 6), (3, 1, 200), (3, 2, 200), (3, 9, 200)])
-def test_batch_matches_per_trial_loop(d, r, count):
+def test_batch_matches_per_trial_loop():
+    batch = sample_family_batch(2, 1, master_seed=17, start=3, count=6)
+    for i in range(6):
+        fam = sample_family(2, 1, RandomSeed(17, 3 + i))
+        assert np.array_equal(batch[i], fam.vectors)
+
+
+@pytest.mark.parametrize("d, r, count", [(3, 1, 200), (3, 2, 200), (3, 9, 200)])
+def test_batch_matches_per_trial_loop_large(d, r, count):
     batch = sample_family_batch(d, r, master_seed=17, start=3, count=count)
     assert batch.shape == (count, r, d * d)
     for i in range(count):
