@@ -6,11 +6,20 @@ Two routes are provided and cross-validated in the test suite:
 * a matrix-free thick-restart (block) Lanczos iteration with full
   reorthogonalization (`lowest_eigs`, `smallest_eig_above`).
 
-The Lanczos core allocates the basis V, its images W = H V (row-major, one
-row per vector) and T = V W^T once per solve.  Each step expands V by the
-newest rows of W, orthogonalized twice against V by classical Gram-Schmidt;
-the first pass's coefficients are the new column of T.  Rayleigh-Ritz runs
-every _RITZ_INTERVAL steps and tests the explicit residuals ||W y - theta V y||.
+The Lanczos core stores the basis V (row-major, one row per vector) and the
+projected matrix T, and no images H V: the images of the newest block Q live
+for one step.  A step is the three-term recurrence, H Q minus its components
+on Q and on the rows that T couples to Q (the previous block, or every kept
+Ritz vector right after a restart), followed by one classical Gram-Schmidt
+pass against all of V.  A row that this pass cut below 1/sqrt(2) of its norm
+gets a second pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
+Rayleigh-Ritz runs every _RITZ_INTERVAL steps.  The recurrence gives each
+Ritz pair's residual norm as ||B^T y_last||, where B couples the newest block
+to the next and y_last holds the Ritz vector's entries on the newest block;
+pairs whose estimates are all within tolerance are accepted only after one
+explicit residual ||H x - theta x|| each confirms them.  A thick restart keeps
+the lowest Ritz vectors, formed as V y, with T diagonal on them (Wu & Simon,
+SIAM J. Matrix Anal. Appl. 22, 2000).
 
 For frustration-free operators the kernel can be huge (thousands of states for
 moderate chains), so the gap is not reached by enumerating low eigenvalues.
@@ -19,6 +28,10 @@ operator (start vector = H applied to a random vector).  The range is invariant
 under H and orthogonal to the kernel, so the iteration converges to the
 smallest *positive* eigenvalue directly; rounding-level kernel leakage is
 ignored via the kernel threshold, and a restart keeps only Ritz vectors above it.
+An instance that is not frustration-free gets its gap from the same floored
+solve, with the floor at ground energy + threshold: a single-vector Krylov
+space holds each distinct level once, so the lowest Ritz value above the floor
+converges to the next distinct level.
 """
 
 from __future__ import annotations
@@ -47,10 +60,6 @@ KERNEL_EPS_PER_TERM = 1e-9
 #: residual tolerance of the iterative solver, relative to the spectral scale
 DEFAULT_RES_RTOL = 1e-9
 
-#: block widths of `_growing_solves`, doubling from the start up to the cap
-_GROWING_START = 8
-_GROWING_CAP = 128
-
 #: Lanczos steps between Rayleigh-Ritz checks (an eigh of T costs far more than a step)
 _RITZ_INTERVAL = 8
 
@@ -59,6 +68,9 @@ _MAX_BASIS = 480
 
 #: a new direction whose norm fell below this share of its input is dropped
 _DROP_RTOL = 1e-10
+
+#: a row that one Gram-Schmidt pass cut below this share of its norm gets a second pass
+_DGKS_RATIO = 2**-0.5
 
 
 def default_kernel_threshold(n_terms: int) -> float:
@@ -134,20 +146,35 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def _new_directions(block: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning `block` projected off the rows of `basis`.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
-    Classical Gram-Schmidt twice, the first pass with `coeffs` = basis @ block.T;
-    directions below _DROP_RTOL of the largest input row norm are dropped.
+
+def _orthonormalize(r: np.ndarray, basis: np.ndarray, ref: float):
+    """Orthonormal rows q spanning `r` projected off the orthonormal rows of `basis`.
+
+    One classical Gram-Schmidt pass with coefficients c = basis @ r.T; a row
+    that this pass cut below 1/sqrt(2) of its input norm gets a second pass
+    (Daniel, Gragg, Kaufman & Stewart).  Directions below _DROP_RTOL * ref are
+    dropped.  Returns (q, c, coupling) with the projected r = coupling @ q.
     """
-    ref = float(np.linalg.norm(block, axis=1).max())
-    block = block - coeffs.T @ basis
-    block -= (basis @ block.T).T @ basis
-    if block.shape[0] == 1:
-        norm = float(np.linalg.norm(block))
-        return block / norm if norm > _DROP_RTOL * ref else block[:0]
-    _, s, vt = np.linalg.svd(block, full_matrices=False)
-    return vt[s > _DROP_RTOL * ref]
+    before = _row_norms(r)
+    c = basis @ r.T
+    r = r - c.T @ basis
+    norms = _row_norms(r)
+    again = norms < before * _DGKS_RATIO
+    if again.any():
+        c2 = basis @ r[again].T
+        r[again] -= c2.T @ basis
+        c[:, again] += c2
+        norms = _row_norms(r)
+    if r.shape[0] == 1:
+        if norms[0] > _DROP_RTOL * ref:
+            return r / norms[0], c, norms[:, None]
+        return r[:0], c, np.empty((1, 0))
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    kept = s > _DROP_RTOL * ref
+    return vt[kept], c, u[:, kept] * s[kept]
 
 
 def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
@@ -162,14 +189,37 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
     basis starts inside the range of H.  Returns (values, exhausted):
     `exhausted` is True when the reachable invariant subspace was spanned
     completely (values are then exact for that subspace).
+
+    Only the basis V and the lower triangle of the projected matrix T are
+    stored; the images H Q of the newest block Q live for one step.  A step
+    (one core for every block width):
+
+    1. stores Q and applies H to it; A = Q (H Q)^T is T's diagonal block;
+    2. subtracts from H Q its components on Q (A) and on the rows that T
+       couples to Q: the previous block, or every kept Ritz vector right
+       after a restart (an arrowhead);
+    3. makes one classical Gram-Schmidt pass against all of V, whose
+       coefficients on Q are added to A, and a second pass only for a row
+       that this pass cut below 1/sqrt(2) of its norm (DGKS);
+    4. orthonormalizes the result into the next block (dropping directions
+       below _DROP_RTOL of the largest row of H Q); the factor B with
+       result = B @ next block is the next block's coupling to Q in T.
+
+    Rayleigh-Ritz runs every _RITZ_INTERVAL steps on eigh(T).  A target's
+    residual estimate is ||B^T y_last||, y_last being its Ritz vector's
+    entries on the newest block.  The targets are accepted when every
+    estimate is within tolerance and then every explicit residual
+    ||H x - theta x|| (one matvec per target) is too; otherwise the
+    iteration goes on.  A thick restart keeps the lowest Ritz vectors above
+    the threshold as V[:k] = y^T V, with T diagonal on them and coupled to
+    the next block by y_last^T B.
     """
     stats = SolverStats() if stats is None else stats
     floor = -np.inf if threshold is None else threshold
     cap = min(dim, max(max_basis, 3 * nev))  # room for the kept vectors and a block
     keep = max(nev, cap // 3)
     V = np.empty((cap, dim))
-    W = np.empty((cap, dim))
-    T = np.empty((cap, cap))
+    T = np.empty((cap, cap))  # kept current: the lower triangle and the diagonal blocks
 
     def apply(rows):
         stats.matvec_columns += rows.shape[0]
@@ -179,65 +229,62 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
         z = rng.standard_normal((nev, dim))
         if threshold is not None:
             z = apply(z)
-        return _new_directions(z, V[:n], V[:n] @ z.T)
+        return _orthonormalize(z, V[:n], _row_norms(z).max())[0]
 
-    def append(n, q):
-        """Store rows q at n with their images and their columns of T; the new size."""
-        m = n + q.shape[0]
-        V[n:m] = q
-        W[n:m] = apply(q)
-        T[:m, n:m] = V[:m] @ W[n:m].T
-        T[n:m, :n] = T[:n, n:m].T
-        return m
-
-    def ritz(n):
-        theta, y = np.linalg.eigh(T[:n, :n])
-        targets = np.flatnonzero(theta > floor)[:nev]
-        yt = y[:, targets].T
-        res = np.linalg.norm(yt @ W[:n] - theta[targets, None] * (yt @ V[:n]), axis=1)
-        return theta, y, targets, res
+    def residuals(values, y, n):
+        if values.size == 0:
+            return values
+        x = y.T @ V[:n]
+        return _row_norms(apply(x) - values[:, None] * x)
 
     q = fresh(0)
     if q.shape[0] == 0:
         return np.empty(0), True  # the operator's range is (numerically) trivial
-    n, newest = append(0, q), q.shape[0]
+    # rows [lo:n] are coupled to the next block q by T[n:m, lo:n] = coupling.T
+    n = lo = 0
+    coupling = np.empty((0, q.shape[0]))
     for step in range(max_iter + 1):
-        full = cap < dim and n + nev > cap
-        if step % _RITZ_INTERVAL == 0 or step == max_iter or full:
-            theta, y, targets, res = ritz(n)
-            scale = max(1.0, float(np.abs(theta).max()))
-            if targets.size >= nev and np.all(res <= res_rtol * scale):
-                exhausted = n >= dim
-                break
+        m = n + q.shape[0]
+        V[n:m] = q
+        T[n:m, :lo] = 0.0
+        T[n:m, lo:n] = coupling.T
+        hq = apply(q)
+        T[n:m, n:m] = q @ hq.T
+        r = hq - T[n:m, lo:m] @ V[lo:m]
+        q, c, coupling = _orthonormalize(r, V[:m], _row_norms(hq).max())
+        T[n:m, n:m] += c[n:m]
+        lo, n = n, m
+        stats.iterations += 1
+        if q.shape[0] == 0:
+            q = fresh(n)  # Krylov space invariant: continue from a new direction
+            coupling = np.zeros((n - lo, q.shape[0]))
+        spanned = q.shape[0] == 0  # the reachable invariant subspace is spanned
+        full = n + q.shape[0] > cap
+        if spanned or full or step % _RITZ_INTERVAL == 0 or step == max_iter:
+            theta, y = np.linalg.eigh(T[:n, :n], UPLO="L")
+            targets = np.flatnonzero(theta > floor)[:nev]
+            tol = res_rtol * max(1.0, float(np.abs(theta).max()))
+            estimate = _row_norms(y[lo:n, targets].T @ coupling)
+            if spanned or (targets.size >= nev and np.all(estimate <= tol)):
+                res = residuals(theta[targets], y[:, targets], n)
+                if spanned or np.all(res <= tol):
+                    break
             if step == max_iter:
                 raise SolverConvergenceError(f"no convergence after {max_iter} iterations "
                                              f"(dim={dim}, nev={nev}, threshold={threshold})")
-        q = _new_directions(W[n - newest : n], V[:n], T[:n, n - newest : n])
-        if q.shape[0] == 0:
-            q = fresh(n)
-        if q.shape[0] == 0:
-            theta, y, targets, res = ritz(n)  # invariant subspace spanned: exact on it
-            exhausted = True
-            break
-        if n + q.shape[0] <= cap:
-            n = append(n, q)
-        else:
-            # thick restart: the lowest Ritz vectors (above the threshold, so
-            # resolved kernel leakage is dropped), then the next Lanczos block q,
-            # which holds all of their residuals.  Restarting through W y instead
-            # multiplies the error of the Lanczos relation by residual / theta
-            # and stalls on a gap of 1e-4 above a kernel.
+        if full:
+            # thick restart: the lowest Ritz vectors above the threshold (so
+            # resolved kernel leakage is dropped), then the next block q, which
+            # holds all of their residuals
             kept = np.flatnonzero(theta > floor)[:keep]
             k = kept.size
-            y = y[:, kept].T
-            V[:k], W[:k] = y @ V[:n], y @ W[:n]
-            T[:k, :k] = V[:k] @ W[:k].T
-            n = append(k, q)
+            V[:k] = y[:, kept].T @ V[:n]
+            T[:k, :k] = np.diag(theta[kept])
+            coupling = y[lo:n, kept].T @ coupling
+            n, lo = k, 0
             stats.restarts += 1
-        newest = q.shape[0]
-        stats.iterations += 1
     stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
-    return theta[targets], exhausted
+    return theta[targets], spanned or n >= dim
 
 
 def lowest_eigs(
@@ -292,14 +339,6 @@ def smallest_eig_above(
     return float(theta[0]) if theta.size else None
 
 
-def _growing_solves(matvec, dim, rng, res_rtol, stats):
-    """Solves for the lowest m = 8, 16, ... eigenvalues (block width m), up to the cap."""
-    m = _GROWING_START
-    while m <= min(_GROWING_CAP, dim):
-        yield _lanczos(matvec, dim, m, rng, res_rtol=res_rtol, stats=stats)
-        m *= 2
-
-
 def gap_report(
     spec: ChainSpec | TreeSpec,
     P: LocalProjector,
@@ -316,10 +355,12 @@ def gap_report(
     The gap is the smallest eigenvalue above the kernel threshold; if the ground
     energy itself exceeds the threshold the instance is flagged non-frustration-
     free and the gap falls back to the spacing between the two lowest distinct
-    levels.  On the iterative path the kernel dimension of a frustration-free
-    instance is not resolved (it can run to thousands of states) and comes
-    back None; the report also carries the solver's work (iterations, matvec
-    columns, restarts) and the largest residual of a converged Ritz pair.
+    levels (iteratively: the smallest eigenvalue above ground energy +
+    threshold, less the ground energy).  On the iterative path the kernel
+    dimension of a frustration-free instance is not resolved (it can run to
+    thousands of states) and comes back None; the report also carries the
+    solver's work (iterations, matvec columns, restarts) and the largest
+    explicit residual of an accepted Ritz pair.
     """
     dim = spec.dim
     n_terms = spec.n_terms
@@ -358,22 +399,16 @@ def gap_report(
     theta, _ = _lanczos(matvec, dim, 1, rng, res_rtol=res_rtol, stats=stats)
     ground = float(theta[0])
     ff = ground <= thr
-    if ff:
-        gap = smallest_eig_above(matvec, dim, thr, seed=seed, res_rtol=res_rtol, stats=stats)
-        if gap is None:
-            raise SolverConvergenceError("no eigenvalue found above the kernel threshold")
-        kd = None
-    else:
-        kd = 0
-        for vals, _ in _growing_solves(matvec, dim, rng, res_rtol, stats):
-            distinct = vals[vals > ground + thr]
-            if distinct.size:
-                gap = float(distinct[0] - ground)
-                break
-        else:
-            raise SolverConvergenceError(
-                "could not resolve a second level above the (non-frustration-free) ground energy"
-            )
+    # the gap of a frustration-free instance is its smallest eigenvalue above
+    # the kernel threshold.  Otherwise it is the next level above ground + thr:
+    # a single-vector Krylov space holds each distinct level once, so the
+    # lowest Ritz value above that floor converges to it
+    floor = thr if ff else ground + thr
+    above = smallest_eig_above(matvec, dim, floor, seed=seed, res_rtol=res_rtol, stats=stats)
+    if above is None:
+        raise SolverConvergenceError(f"no eigenvalue found above {floor:.3e}")
+    gap = above if ff else above - ground
+    kd = None if ff else 0
     return SpectralReport(
         ground_energy=ground, kernel_dim=kd, gap=gap, frustration_free=ff,
         method="iterative", kernel_threshold=thr, solver_tolerance=res_rtol,

@@ -1,5 +1,7 @@
 """Dense oracle vs iterative eigensolver, gap reports, kernel handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,33 @@ def test_smallest_eig_above_zero_operator_returns_none():
     assert smallest_eig_above(lambda x: np.zeros_like(x), 6, 1e-9) is None
 
 
+def test_smallest_eig_above_sees_a_degenerate_level_once():
+    # a 5-fold level at 0.3 and the next level at 0.5: a single-vector Krylov
+    # space holds the 5-fold level once, so above 0.3 the solve finds 0.5
+    levels = np.concatenate([np.full(5, 0.3), np.full(3, 0.5), np.linspace(0.7, 2.0, 52)])
+    q, _ = np.linalg.qr(RandomSeed(9, 9).generator().standard_normal((60, 60)))
+    h = (q * levels) @ q.T
+    got = smallest_eig_above(lambda x: h @ x, 60, 0.3 + 1e-9, seed=RandomSeed(9, 1))
+    assert abs((got - 0.3) - 0.2) < 1e-9
+
+
+def test_solve_holds_one_basis():
+    # the basis is the one (cap, dim) array of a solve: its images H V are not stored
+    spec = ChainSpec(3, 1, 8)
+    matvec = hamiltonian_matvec(spec, random_projector(3, 1, master=90))
+    thr = default_kernel_threshold(spec.n_terms)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        smallest_eig_above(matvec, spec.dim, thr, seed=RandomSeed(0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.25 * spectral._MAX_BASIS * spec.dim * 8
+
+
 def test_gap_report_reference_chain():
     rep = gap_report(ChainSpec(3, 1, 5), reference_projector(3, 1), method="dense")
     assert rep.frustration_free
@@ -242,6 +271,20 @@ def test_non_ff_fallback_reports_level_spacing():
     assert not it.frustration_free
     assert abs(it.ground_energy - rep.ground_energy) < 1e-8
     assert abs(it.gap - rep.gap) < 1e-7
+
+
+@pytest.mark.parametrize("d,r,L", [(2, 2, 6), (2, 3, 8), (3, 5, 5), (4, 9, 4)])
+def test_non_ff_gap_matches_dense(d, r, L):
+    # above the frustration-free rank, the iterative gap is the distance from
+    # the ground energy to the next distinct level, as on the dense path
+    p = random_projector(d, r, master=81)
+    spec = ChainSpec(d, r, L)
+    dense = gap_report(spec, p, method="dense")
+    it = gap_report(spec, p, method="iterative")
+    assert not dense.frustration_free and not it.frustration_free
+    assert it.kernel_dim == 0
+    assert abs(it.ground_energy - dense.ground_energy) < 1e-8
+    assert abs(it.gap - dense.gap) < 1e-8
 
 
 def test_gap_report_deterministic_given_seed():
