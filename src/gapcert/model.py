@@ -285,7 +285,10 @@ def _edge_matvec(P: LocalProjector, sites: int, edges, x: np.ndarray) -> np.ndar
     y = np.zeros(xb.shape)  # C order, so that the views of y below never copy
     for a, b in edges:
         left, mid, rest = d**a, d ** (b - a - 1), d ** (sites - b - 1) * xb.shape[1]
-        if mid == 1:  # a bond: one product per left index, on plain reshapes
+        if mid == 1 and rest == 1:  # the last bond of a vector: one 2-D product
+            ye = y.reshape(left, d * d)
+            ye += xb.reshape(left, d * d) @ P.matrix.T
+        elif mid == 1:  # a bond: one product per left index, on plain reshapes
             ye = y.reshape(left, d * d, rest)
             ye += P.matrix @ xb.reshape(left, d * d, rest)
         else:  # the pair moves to the front (a copy) for one wide product

@@ -4,7 +4,8 @@ Two routes are provided and cross-validated in the test suite:
 
 * a dense oracle (`dense_spectrum`) for dimensions up to DENSE_DIM_LIMIT;
 * a matrix-free thick-restart (block) Lanczos iteration with full
-  reorthogonalization (`lowest_eigs`, `smallest_eig_above`).
+  reorthogonalization (`lowest_eigs`, `smallest_eig_above`, and the iterative
+  path of `gap_report`).
 
 The Lanczos core stores the basis V (row-major, one row per vector) and the
 projected matrix T, and no images H V: the images of the newest block Q live
@@ -18,20 +19,23 @@ Ritz pair's residual norm as ||B^T y_last||, where B couples the newest block
 to the next and y_last holds the Ritz vector's entries on the newest block;
 pairs whose estimates are all within tolerance are accepted only after one
 explicit residual ||H x - theta x|| each confirms them.  A thick restart keeps
-the lowest Ritz vectors, formed as V y, with T diagonal on them (Wu & Simon,
-SIAM J. Matrix Anal. Appl. 22, 2000).
+Ritz vectors from the first target up, formed as V y, with T diagonal on them
+(Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
 
-For frustration-free operators the kernel can be huge (thousands of states for
-moderate chains), so the gap is not reached by enumerating low eigenvalues.
-`smallest_eig_above` instead starts the Krylov basis inside the range of the
-operator (start vector = H applied to a random vector).  The range is invariant
-under H and orthogonal to the kernel, so the iteration converges to the
-smallest *positive* eigenvalue directly; rounding-level kernel leakage is
-ignored via the kernel threshold, and a restart keeps only Ritz vectors above it.
-An instance that is not frustration-free gets its gap from the same floored
-solve, with the floor at ground energy + threshold: a single-vector Krylov
-space holds each distinct level once, so the lowest Ritz value above the floor
-converges to the next distinct level.
+A solve converges the targets that its caller's rule picks among the
+ascending Ritz values.  For frustration-free operators the kernel can be huge
+(thousands of states for moderate chains), so the gap is not reached by
+enumerating low eigenvalues.  A single-vector Krylov space holds each distinct
+level once (Parlett, The Symmetric Eigenvalue Problem, ch. 12): started from a
+random vector it resolves the whole reachable kernel as one Ritz value, the
+ground energy, and the gap level as the next one.  `gap_report` therefore runs
+one solve with two targets, the lowest Ritz value and the lowest above a floor:
+the kernel threshold when the lowest is at or below it (frustration-free), and
+the lowest plus the threshold otherwise (the next distinct level).
+`smallest_eig_above` starts the basis inside the range of the operator (start
+vector = H applied to a random vector), which is invariant under H and
+orthogonal to the kernel; rounding-level kernel leakage lies below its
+threshold, and a restart keeps only Ritz vectors from the first target up.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ def default_kernel_threshold(n_terms: int) -> float:
 
 @dataclass
 class SolverStats:
-    """Work of the iterative solver, summed over the solves it is passed to."""
+    """Work of the iterative solver, summed over the solves it is passed to
+    (an iterative `gap_report` runs one)."""
 
     iterations: int = 0  # Lanczos steps
     matvec_columns: int = 0  # vectors H was applied to
@@ -177,18 +182,41 @@ def _orthonormalize(r: np.ndarray, basis: np.ndarray, ref: float):
     return vt[kept], c, u[:, kept] * s[kept]
 
 
-def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
-             threshold: float | None = None, res_rtol: float = DEFAULT_RES_RTOL,
+def _lowest(count: int):
+    """Target rule of `lowest_eigs`: the `count` lowest Ritz values."""
+    return lambda theta: np.arange(count)
+
+
+def _above(threshold: float):
+    """Target rule of `smallest_eig_above`: the lowest Ritz value above `threshold`."""
+    return lambda theta: np.array([np.searchsorted(theta, threshold, side="right")])
+
+
+def _ground_and_gap(threshold: float):
+    """Target rule of `gap_report`: the lowest Ritz value and the lowest above
+    the floor, which is `threshold` when the lowest is at or below it and the
+    lowest plus `threshold` otherwise."""
+    def targets(theta):
+        floor = threshold if theta[0] <= threshold else theta[0] + threshold
+        return np.array([0, np.searchsorted(theta, floor, side="right")])
+    return targets
+
+
+def _lanczos(matvec, dim: int, width: int, rng: np.random.Generator, targets, *,
+             range_start: bool = False, res_rtol: float = DEFAULT_RES_RTOL,
              max_iter: int = 3000, max_basis: int = _MAX_BASIS,
-             stats: SolverStats | None = None):
+             stats: SolverStats | None = None) -> np.ndarray:
     """Thick-restart block Lanczos with full reorthogonalization.
 
-    Converges the `nev` lowest Ritz pairs, expanding by a block of `nev`
-    vectors per step (so multiplicities up to `nev` are resolved).  Given a
-    `threshold`, it converges the `nev` lowest above it instead, and the
-    basis starts inside the range of H.  Returns (values, exhausted):
-    `exhausted` is True when the reachable invariant subspace was spanned
-    completely (values are then exact for that subspace).
+    Expands by a block of `width` vectors per step (so multiplicities up to
+    `width` are resolved), from random start vectors, or from their images
+    under H when `range_start` is set (a basis inside the range of H).
+    `targets(theta)` picks the wanted Ritz values among the ascending
+    `theta` as an ascending index array of fixed length; an index equal to
+    theta.size marks a target not (yet) among them.  Returns the targets'
+    Ritz values, all of them once converged; when the reachable invariant
+    subspace is spanned first (values are then exact for that subspace),
+    only those that are present.
 
     Only the basis V and the lower triangle of the projected matrix T are
     stored; the images H Q of the newest block Q live for one step.  A step
@@ -207,17 +235,17 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
 
     Rayleigh-Ritz runs every _RITZ_INTERVAL steps on eigh(T).  A target's
     residual estimate is ||B^T y_last||, y_last being its Ritz vector's
-    entries on the newest block.  The targets are accepted when every
-    estimate is within tolerance and then every explicit residual
-    ||H x - theta x|| (one matvec per target) is too; otherwise the
-    iteration goes on.  A thick restart keeps the lowest Ritz vectors above
-    the threshold as V[:k] = y^T V, with T diagonal on them and coupled to
-    the next block by y_last^T B.
+    entries on the newest block.  The targets are accepted when all are
+    present, every estimate is within tolerance and then every explicit
+    residual ||H x - theta x|| (one matvec per target) is too; otherwise the
+    iteration goes on.  A thick restart keeps the lowest Ritz vectors from
+    the first target up (so kernel leakage below a threshold is dropped) as
+    V[:k] = y^T V, with T diagonal on them and coupled to the next block by
+    y_last^T B.
     """
     stats = SolverStats() if stats is None else stats
-    floor = -np.inf if threshold is None else threshold
-    cap = min(dim, max(max_basis, 3 * nev))  # room for the kept vectors and a block
-    keep = max(nev, cap // 3)
+    cap = min(dim, max(max_basis, 3 * width))  # room for the kept vectors and a block
+    keep = max(width, cap // 3)
     V = np.empty((cap, dim))
     T = np.empty((cap, cap))  # kept current: the lower triangle and the diagonal blocks
 
@@ -226,8 +254,8 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
         return np.asarray(matvec(np.ascontiguousarray(rows.T)), dtype=float).T
 
     def fresh(n):
-        z = rng.standard_normal((nev, dim))
-        if threshold is not None:
+        z = rng.standard_normal((width, dim))
+        if range_start:
             z = apply(z)
         return _orthonormalize(z, V[:n], _row_norms(z).max())[0]
 
@@ -239,7 +267,7 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
 
     q = fresh(0)
     if q.shape[0] == 0:
-        return np.empty(0), True  # the operator's range is (numerically) trivial
+        return np.empty(0)  # the operator's range is (numerically) trivial
     # rows [lo:n] are coupled to the next block q by T[n:m, lo:n] = coupling.T
     n = lo = 0
     coupling = np.empty((0, q.shape[0]))
@@ -262,21 +290,21 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
         full = n + q.shape[0] > cap
         if spanned or full or step % _RITZ_INTERVAL == 0 or step == max_iter:
             theta, y = np.linalg.eigh(T[:n, :n], UPLO="L")
-            targets = np.flatnonzero(theta > floor)[:nev]
+            want = targets(theta)
+            found = want[want < n]
             tol = res_rtol * max(1.0, float(np.abs(theta).max()))
-            estimate = _row_norms(y[lo:n, targets].T @ coupling)
-            if spanned or (targets.size >= nev and np.all(estimate <= tol)):
-                res = residuals(theta[targets], y[:, targets], n)
+            estimate = _row_norms(y[lo:n, found].T @ coupling)
+            if spanned or (found.size == want.size and np.all(estimate <= tol)):
+                res = residuals(theta[found], y[:, found], n)
                 if spanned or np.all(res <= tol):
                     break
             if step == max_iter:
                 raise SolverConvergenceError(f"no convergence after {max_iter} iterations "
-                                             f"(dim={dim}, nev={nev}, threshold={threshold})")
+                                             f"(dim={dim}, block width={width})")
         if full:
-            # thick restart: the lowest Ritz vectors above the threshold (so
-            # resolved kernel leakage is dropped), then the next block q, which
-            # holds all of their residuals
-            kept = np.flatnonzero(theta > floor)[:keep]
+            # thick restart: the lowest Ritz vectors from the first target up,
+            # then the next block q, which holds all of their residuals
+            kept = np.arange(want[0], min(want[0] + keep, n))
             k = kept.size
             V[:k] = y[:, kept].T @ V[:n]
             T[:k, :k] = np.diag(theta[kept])
@@ -284,7 +312,7 @@ def _lanczos(matvec, dim: int, nev: int, rng: np.random.Generator, *,
             n, lo = k, 0
             stats.restarts += 1
     stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
-    return theta[targets], spanned or n >= dim
+    return theta[found]
 
 
 def lowest_eigs(
@@ -309,10 +337,11 @@ def lowest_eigs(
     if dim < count:
         raise InvalidDimensionError(f"dim={dim} is smaller than count={count}")
     rng = (seed or RandomSeed()).generator(substream=1)
-    theta, _ = _lanczos(matvec, dim, count, rng, res_rtol=res_rtol, max_iter=max_iter)
+    theta = _lanczos(matvec, dim, count, rng, _lowest(count), res_rtol=res_rtol,
+                     max_iter=max_iter)
     if theta.size < count:
         raise SolverConvergenceError(f"resolved only {theta.size} of {count} requested eigenvalues")
-    return theta[:count]
+    return theta
 
 
 def smallest_eig_above(
@@ -334,8 +363,8 @@ def smallest_eig_above(
     The solver's work is added to `stats` when one is given.
     """
     rng = (seed or RandomSeed()).generator(substream=2)
-    theta, _ = _lanczos(matvec, dim, 1, rng, threshold=threshold, res_rtol=res_rtol,
-                        max_iter=max_iter, stats=stats)
+    theta = _lanczos(matvec, dim, 1, rng, _above(threshold), range_start=True,
+                     res_rtol=res_rtol, max_iter=max_iter, stats=stats)
     return float(theta[0]) if theta.size else None
 
 
@@ -355,12 +384,14 @@ def gap_report(
     The gap is the smallest eigenvalue above the kernel threshold; if the ground
     energy itself exceeds the threshold the instance is flagged non-frustration-
     free and the gap falls back to the spacing between the two lowest distinct
-    levels (iteratively: the smallest eigenvalue above ground energy +
-    threshold, less the ground energy).  On the iterative path the kernel
-    dimension of a frustration-free instance is not resolved (it can run to
-    thousands of states) and comes back None; the report also carries the
-    solver's work (iterations, matvec columns, restarts) and the largest
-    explicit residual of an accepted Ritz pair.
+    levels.  The iterative path runs one Lanczos solve from a random start
+    (substream 1 of `seed`) that converges two Ritz values: the lowest, which
+    is the ground energy, and the lowest above the kernel threshold (or, when
+    the lowest exceeds it, above ground energy + threshold), which is the gap
+    level.  There the kernel dimension of a frustration-free instance is not
+    resolved (it can run to thousands of states) and comes back None; the
+    report also carries the solve's work (iterations, matvec columns,
+    restarts) and the largest explicit residual of an accepted Ritz pair.
     """
     dim = spec.dim
     n_terms = spec.n_terms
@@ -393,20 +424,14 @@ def gap_report(
     if method != "iterative":
         raise ValueError(f"unknown method {method!r}")
 
-    matvec = hamiltonian_matvec(spec, P)
     rng = (seed or RandomSeed()).generator(substream=1)
     stats = SolverStats()
-    theta, _ = _lanczos(matvec, dim, 1, rng, res_rtol=res_rtol, stats=stats)
-    ground = float(theta[0])
+    theta = _lanczos(hamiltonian_matvec(spec, P), dim, 1, rng, _ground_and_gap(thr),
+                     res_rtol=res_rtol, stats=stats)
+    if theta.size < 2:
+        raise SolverConvergenceError(f"no eigenvalue found above the floor (threshold {thr:.3e})")
+    ground, above = float(theta[0]), float(theta[1])
     ff = ground <= thr
-    # the gap of a frustration-free instance is its smallest eigenvalue above
-    # the kernel threshold.  Otherwise it is the next level above ground + thr:
-    # a single-vector Krylov space holds each distinct level once, so the
-    # lowest Ritz value above that floor converges to it
-    floor = thr if ff else ground + thr
-    above = smallest_eig_above(matvec, dim, floor, seed=seed, res_rtol=res_rtol, stats=stats)
-    if above is None:
-        raise SolverConvergenceError(f"no eigenvalue found above {floor:.3e}")
     gap = above if ff else above - ground
     kd = None if ff else 0
     return SpectralReport(

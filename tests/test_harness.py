@@ -457,3 +457,16 @@ def test_cli_cap_table_defaults(tmp_path):
     # default grid runs on stdout; trials flag is accepted but unused here
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,delta,")
+
+
+def test_import_and_load_config_stay_numpy_only():
+    # importing scipy costs a fresh process about a quarter second; the runtime is numpy only
+    code = ("import json, sys; import gapcert, gapcert.harness; "
+            "gapcert.harness.load_config(json.loads(sys.argv[1])); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    cfg = {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 3, "family": "near-good",
+           "epsilon": 1.0 / 18.0, "gap_method": "iterative"}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)],
+                          capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -131,6 +131,19 @@ def test_chain_matvec_vs_kron_oracle():
     assert np.abs(dense_hamiltonian(ChainSpec(2, 1, 4), p) - h).max() < 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_chain_matvec_vector_vs_kron_oracle(d):
+    # a vector's last bond is one 2-D product, the other bonds batched products
+    p = random_projector(d, 1, master=20 + d)
+    L = 5 if d < 4 else 4
+    h = kron_chain_oracle(p.matrix, d, L)
+    x = np.random.default_rng(d).standard_normal(d**L)
+    y = chain_matvec(p, L, x)
+    assert y.shape == x.shape
+    assert np.abs(y - h @ x).max() < 1e-12
+    assert np.abs(chain_matvec(p, L, np.column_stack([x, -x]))[:, 0] - y).max() < 1e-14
+
+
 @pytest.mark.parametrize("d,r,L", [(2, 1, 6), (2, 1, 12), (3, 2, 5), (3, 1, 7), (4, 3, 5)])
 def test_chain_matvec_vs_dense_assembly(d, r, L):
     p = random_projector(d, r, master=10 + L)

@@ -225,6 +225,37 @@ def test_iterative_and_dense_gap_agree(spec, master):
     assert dense.frustration_free == iterative.frustration_free
 
 
+def test_iterative_gap_report_is_one_solve(monkeypatch):
+    # ground and gap come from one random-start Krylov space
+    calls = []
+    inner = spectral._lanczos
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_lanczos", counting)
+    spec = ChainSpec(3, 1, 6)
+    p = random_projector(3, 1, master=71)
+    rep = gap_report(spec, p, method="iterative", seed=RandomSeed(71, 1))
+    assert calls == [1]
+    dense = gap_report(spec, p, method="dense")
+    assert abs(rep.gap - dense.gap) < 1e-8
+
+
+def test_iterative_tiny_gap_above_a_huge_kernel():
+    # the tree-krylov benchmark pool's smallest gap: 1.77e-7 above a kernel of
+    # 946 states, resolved to the benchmark's tolerance
+    spec = TreeSpec(3, 1, 2, 3)
+    seed = RandomSeed(12173, 0)
+    p = _near_good(seed)
+    dense = gap_report(spec, p, method="dense")
+    assert dense.kernel_dim == 946 and abs(dense.gap - 1.7705e-7) < 1e-11
+    it = gap_report(spec, p, method="iterative", seed=seed)
+    assert it.frustration_free and it.ground_energy <= it.kernel_threshold
+    assert abs(it.gap - dense.gap) <= 2 * spectral.DEFAULT_RES_RTOL * spec.n_terms
+
+
 def test_iterative_kernel_dim_resolution():
     p = random_projector(2, 1, master=74)
     spec = ChainSpec(2, 1, 8)
@@ -325,10 +356,12 @@ def test_thick_restart_matches_dense(spec, p):
     thr = default_kernel_threshold(spec.n_terms)
     matvec = hamiltonian_matvec(spec, p)
     rng = RandomSeed(7, 7).generator(substream=1)
-    for threshold, expected in ((None, evals[0]), (thr, evals[np.searchsorted(evals, thr, "right")])):
+    for targets, range_start, expected in (
+            (spectral._lowest(1), False, evals[0]),
+            (spectral._above(thr), True, evals[np.searchsorted(evals, thr, "right")])):
         stats = spectral.SolverStats()
-        theta, _ = spectral._lanczos(matvec, spec.dim, 1, rng, threshold=threshold,
-                                     max_basis=24, stats=stats)
+        theta = spectral._lanczos(matvec, spec.dim, 1, rng, targets, range_start=range_start,
+                                  max_basis=24, stats=stats)
         assert abs(theta[0] - expected) < 1e-8
         assert stats.restarts >= 1
 
@@ -337,7 +370,29 @@ def test_block_thick_restart_leaves_room_for_a_block():
     # 8 kept Ritz vectors plus a block of 8 overflow a 12-row cap; the core widens it
     diag = np.linspace(0.0, 1.0, 120)
     stats = spectral.SolverStats()
-    theta, _ = spectral._lanczos(lambda x: diag[:, None] * x, 120, 8, RandomSeed(8, 8).generator(),
-                                 max_basis=12, stats=stats)
+    theta = spectral._lanczos(lambda x: diag[:, None] * x, 120, 8, RandomSeed(8, 8).generator(),
+                              spectral._lowest(8), max_basis=12, stats=stats)
     assert np.abs(theta - diag[:8]).max() < 1e-8
     assert stats.restarts >= 1
+
+
+@pytest.mark.parametrize(
+    "spec,p",
+    [(TreeSpec(3, 1, 2, 3), _near_good(RandomSeed(909, 1))),
+     (ChainSpec(3, 5, 5), random_projector(3, 5, master=81))],
+    ids=["tree-9b-near-good", "chain-non-ff"],
+)
+def test_gap_report_targets_through_thick_restarts(spec, p):
+    # the two targets of gap_report (ground, and the lowest level above its
+    # floor) survive restarts that keep the ground Ritz vector
+    dense = gap_report(spec, p, method="dense")
+    thr = default_kernel_threshold(spec.n_terms)
+    stats = spectral.SolverStats()
+    theta = spectral._lanczos(hamiltonian_matvec(spec, p), spec.dim, 1,
+                              RandomSeed(7, 7).generator(substream=1),
+                              spectral._ground_and_gap(thr), max_basis=24, stats=stats)
+    assert stats.restarts >= 1
+    ground, above = theta
+    assert abs(ground - dense.ground_energy) < 1e-8
+    gap = above if dense.frustration_free else above - ground
+    assert abs(gap - dense.gap) < 1e-8
