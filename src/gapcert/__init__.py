@@ -2,9 +2,10 @@
 
 Builds translation-invariant Hamiltonians from Haar-random small-rank
 projectors, computes their spectral gaps (dense oracle and matrix-free
-thick-restart Lanczos on a preallocated basis), certifies gappedness through
-three-site finite-size criteria, and checks the quantitative spherical-cap
-probability bounds behind the positive-probability gap statements.
+single-vector thick-restart Lanczos on a preallocated basis), certifies
+gappedness through three-site finite-size criteria, and checks the
+quantitative spherical-cap probability bounds behind the positive-probability
+gap statements.
 """
 
 from .capgeom import (
@@ -16,7 +17,6 @@ from .capgeom import (
     gap_probability_bound,
     landing_exponent,
     landing_probability_bound,
-    spherical_distance,
     step_bounds,
 )
 from .certificate import (
@@ -56,7 +56,6 @@ from .model import (
     ChainSpec,
     LocalProjector,
     TreeSpec,
-    chain_flat_index,
     chain_matvec,
     dense_hamiltonian,
     hamiltonian_matvec,
@@ -75,7 +74,6 @@ from .spectral import (
     default_kernel_threshold,
     dense_spectrum,
     gap_report,
-    lowest_eigs,
     smallest_eig_above,
 )
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError
 
 SIMPSON_REL_TOL = 1e-12
@@ -56,16 +54,6 @@ class BoundReport:
                 f"exact value {self.exact} below lower bound {self.lower_bound} "
                 f"({self.formula_id}); numerical inputs are inconsistent"
             )
-
-
-def spherical_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Great-circle distance arccos<x, y> between unit vectors, in [0, pi]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, v in (("x", x), ("y", y)):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise DomainError(f"{name} is not a unit vector (norm {np.linalg.norm(v)!r})")
-    return float(np.arccos(np.clip(float(x @ y), -1.0, 1.0)))
 
 
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:

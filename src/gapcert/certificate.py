@@ -61,7 +61,7 @@ from .errors import (
     SolverConvergenceError,
 )
 from .haar import OrthonormalFamily, RandomSeed
-from .model import LocalProjector, pair_flat_index
+from .model import LocalProjector, reference_targets
 from .spectral import dense_spectrum, default_kernel_threshold
 
 MEET_EIGTOL = 1e-8
@@ -315,7 +315,7 @@ def construct_near_good(
     if not (0 < epsilon < 1.0 / (8.0 * r)):
         raise DomainError(f"epsilon must lie in (0, 1/(8r)) = (0, {1.0/(8.0*r)}), got {epsilon}")
     d2 = d * d
-    targets = _good_vector_matrix(d, r)
+    targets = reference_targets(d, r).T
     rng = seed.generator()
     scale = 0.9 * epsilon
     for _ in range(max_retries):
@@ -339,17 +339,9 @@ def certified_gap_level(r: int, epsilon: float) -> float:
     return 1.0 - 8.0 * r * epsilon
 
 
-def _good_vector_matrix(d: int, r: int) -> np.ndarray:
-    """Columns are the reference target vectors: pair states (1, 2) .. (1, r+1)."""
-    targets = np.zeros((d * d, r))
-    for i in range(1, r + 1):
-        targets[pair_flat_index(1, i + 1, d), i - 1] = 1.0
-    return targets
-
-
 def reference_distance(family: OrthonormalFamily) -> float:
     """max_i distance of the family from the reference targets (requires r < d)."""
     if family.r >= family.d:
         raise InvalidRankError("reference targets are only defined for r < d")
-    targets = _good_vector_matrix(family.d, family.r)
-    return float(np.linalg.norm(family.vectors.T - targets, axis=0).max())
+    targets = reference_targets(family.d, family.r)
+    return float(np.linalg.norm(family.vectors - targets, axis=1).max())

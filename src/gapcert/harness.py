@@ -39,7 +39,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import capgeom
-from .certificate import certify, construct_near_good
+from .certificate import certified_gap_level, certify, construct_near_good
 from .errors import ConfigError
 from .haar import RandomSeed, sample_family, sample_family_batch, sample_sphere
 from .model import (
@@ -48,8 +48,8 @@ from .model import (
     LocalProjector,
     TreeSpec,
     max_ff_rank,
-    pair_flat_index,
     projector_from_family,
+    reference_targets,
 )
 from .spectral import gap_report
 
@@ -520,7 +520,7 @@ def run_lattice_gaps(cfg: ExperimentConfig) -> RunResult:
         bound = capgeom.gap_probability_bound(cfg.d, cfg.r, cfg.epsilon)
         summary.update(
             epsilon=cfg.epsilon,
-            certified_gap_level=1.0 - 8.0 * cfg.r * cfg.epsilon,
+            certified_gap_level=certified_gap_level(cfg.r, cfg.epsilon),
             gap_probability_bound=bound,
             fraction_exceeds_bound=(fraction >= bound) if fraction is not None else None,
         )
@@ -538,9 +538,7 @@ def run_event_frequency(cfg: ExperimentConfig) -> RunResult:
     """Frequency of all sampled vectors landing within epsilon of the targets."""
     t_start = time.perf_counter()
     d, r, eps = cfg.d, cfg.r, cfg.epsilon
-    targets = np.zeros((r, d * d))
-    for i in range(1, r + 1):
-        targets[i - 1, pair_flat_index(1, i + 1, d)] = 1.0
+    targets = reference_targets(d, r)
 
     n_chunks = (cfg.trials + _EVENT_CHUNK - 1) // _EVENT_CHUNK
 

@@ -44,16 +44,6 @@ def pair_flat_index(i: int, j: int, d: int) -> int:
     return (i - 1) * d + (j - 1)
 
 
-def chain_flat_index(config, d: int) -> int:
-    """Flat index of a chain configuration of 1-based site labels."""
-    idx = 0
-    for label in config:
-        if not (1 <= label <= d):
-            raise InvalidDimensionError(f"site label {label} outside 1..{d}")
-        idx = idx * d + (label - 1)
-    return idx
-
-
 def tree_vertex_count(k: int, levels: int) -> int:
     """Number of vertices of the k-ary tree with the given number of levels."""
     if k < 2:
@@ -147,8 +137,16 @@ def projector_from_family(family: OrthonormalFamily) -> LocalProjector:
     return LocalProjector(d=family.d, r=family.r, matrix=0.5 * (m + m.T), seed=family.seed)
 
 
+def reference_targets(d: int, r: int) -> np.ndarray:
+    """Rows are the reference target vectors: the pair states (1, 2), ..., (1, r+1)."""
+    targets = np.zeros((r, d * d))
+    for i in range(1, r + 1):
+        targets[i - 1, pair_flat_index(1, i + 1, d)] = 1.0
+    return targets
+
+
 def reference_projector(d: int, r: int) -> LocalProjector:
-    """Diagonal projector onto the pair states (1, 2), ..., (1, r+1).
+    """Diagonal projector onto the reference targets (1, 2), ..., (1, r+1).
 
     These target states carry the label 1 on the first site and labels >= 2 on
     the second, so adjacent translates have orthogonal ranges: a middle site
@@ -156,10 +154,7 @@ def reference_projector(d: int, r: int) -> LocalProjector:
     """
     if not (1 <= r < d):
         raise InvalidRankError(f"reference projector requires 1 <= r < d, got r={r}, d={d}")
-    diag = np.zeros(d * d)
-    for i in range(1, r + 1):
-        diag[pair_flat_index(1, i + 1, d)] = 1.0
-    return LocalProjector(d=d, r=r, matrix=np.diag(diag))
+    return LocalProjector(d=d, r=r, matrix=np.diag(reference_targets(d, r).sum(axis=0)))
 
 
 def _path_edges(L: int) -> list[tuple[int, int]]:
@@ -223,10 +218,6 @@ class ChainSpec(_Lattice):
     def edges(self) -> list[tuple[int, int]]:
         return _path_edges(self.L)
 
-    @property
-    def frustration_free_guaranteed(self) -> bool:
-        return self.r <= max_ff_rank(self.d, "chain")
-
 
 @dataclass(frozen=True)
 class TreeSpec(_Lattice):
@@ -250,15 +241,9 @@ class TreeSpec(_Lattice):
     def sites(self) -> int:
         return tree_vertex_count(self.k, self.L)
 
-    vertex_count = sites
-
     @property
     def edges(self) -> list[tuple[int, int]]:
         return tree_edges(self.k, self.L)
-
-    @property
-    def frustration_free_guaranteed(self) -> bool:
-        return self.r <= max_ff_rank(self.d, "tree", self.k)
 
 
 def _check_projector_dim(P: LocalProjector, d: int):

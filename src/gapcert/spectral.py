@@ -3,24 +3,24 @@
 Two routes are provided and cross-validated in the test suite:
 
 * a dense oracle (`dense_spectrum`) for dimensions up to DENSE_DIM_LIMIT;
-* a matrix-free thick-restart (block) Lanczos iteration with full
-  reorthogonalization (`lowest_eigs`, `smallest_eig_above`, and the iterative
-  path of `gap_report`).
+* a matrix-free thick-restart Lanczos iteration with full reorthogonalization
+  (the iterative path of `gap_report`, and `smallest_eig_above`).
 
-The Lanczos core stores the basis V (row-major, one row per vector) and the
-projected matrix T, and no images H V: the images of the newest block Q live
-for one step.  A step is the three-term recurrence, H Q minus its components
-on Q and on the rows that T couples to Q (the previous block, or every kept
-Ritz vector right after a restart), followed by one classical Gram-Schmidt
-pass against all of V.  A row that this pass cut below 1/sqrt(2) of its norm
-gets a second pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
-Rayleigh-Ritz runs every _RITZ_INTERVAL steps.  The recurrence gives each
-Ritz pair's residual norm as ||B^T y_last||, where B couples the newest block
-to the next and y_last holds the Ritz vector's entries on the newest block;
-pairs whose estimates are all within tolerance are accepted only after one
-explicit residual ||H x - theta x|| each confirms them.  A thick restart keeps
-Ritz vectors from the first target up, formed as V y, with T diagonal on them
-(Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
+The Lanczos core expands a single vector per step.  It stores the basis V
+(row-major, one row per vector) and the projected matrix T, and no images
+H V: the image of the newest vector q lives for one step.  A step is the
+three-term recurrence, H q minus its components on q and on the rows that T
+couples to q (the previous vector, or every kept Ritz vector right after a
+restart), followed by one classical Gram-Schmidt pass against all of V.  A
+vector that this pass cut below 1/sqrt(2) of its norm gets a second pass
+(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  Rayleigh-Ritz
+runs every _RITZ_INTERVAL steps.  The recurrence gives each Ritz pair's
+residual norm as |beta y_last|, where beta couples the newest vector to the
+next and y_last is the Ritz vector's last entry; pairs whose estimates are
+all within tolerance are accepted only after one explicit residual
+||H x - theta x|| each confirms them.  A thick restart keeps Ritz vectors
+from the first target up, formed as V y, with T diagonal on them (Wu &
+Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
 
 A solve converges the targets that its caller's rule picks among the
 ascending Ritz values.  For frustration-free operators the kernel can be huge
@@ -32,10 +32,6 @@ ground energy, and the gap level as the next one.  `gap_report` therefore runs
 one solve with two targets, the lowest Ritz value and the lowest above a floor:
 the kernel threshold when the lowest is at or below it (frustration-free), and
 the lowest plus the threshold otherwise (the next distinct level).
-`smallest_eig_above` starts the basis inside the range of the operator (start
-vector = H applied to a random vector), which is invariant under H and
-orthogonal to the kernel; rounding-level kernel leakage lies below its
-threshold, and a restart keeps only Ritz vectors from the first target up.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ DEFAULT_RES_RTOL = 1e-9
 #: Lanczos steps between Rayleigh-Ritz checks (an eigh of T costs far more than a step)
 _RITZ_INTERVAL = 8
 
-#: basis rows of one solve (at least three blocks, at most dim); a restart keeps a third
+#: basis rows of one solve (at most dim); a restart keeps a third
 _MAX_BASIS = 480
 
 #: a new direction whose norm fell below this share of its input is dropped
@@ -83,8 +79,7 @@ def default_kernel_threshold(n_terms: int) -> float:
 
 @dataclass
 class SolverStats:
-    """Work of the iterative solver, summed over the solves it is passed to
-    (an iterative `gap_report` runs one)."""
+    """Work of one iterative solve (an iterative `gap_report` runs one)."""
 
     iterations: int = 0  # Lanczos steps
     matvec_columns: int = 0  # vectors H was applied to
@@ -156,35 +151,25 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(r: np.ndarray, basis: np.ndarray, ref: float):
-    """Orthonormal rows q spanning `r` projected off the orthonormal rows of `basis`.
+    """The row `r` projected off the orthonormal rows of `basis`, normalized.
 
-    One classical Gram-Schmidt pass with coefficients c = basis @ r.T; a row
-    that this pass cut below 1/sqrt(2) of its input norm gets a second pass
-    (Daniel, Gragg, Kaufman & Stewart).  Directions below _DROP_RTOL * ref are
-    dropped.  Returns (q, c, coupling) with the projected r = coupling @ q.
+    One classical Gram-Schmidt pass with coefficients c = basis @ r.T, and a
+    second pass when this one cut r below 1/sqrt(2) of its input norm (Daniel,
+    Gragg, Kaufman & Stewart).  Returns (q, c, beta) with the projected
+    r = beta @ q; q is empty when the projected r falls below _DROP_RTOL * ref.
     """
     before = _row_norms(r)
     c = basis @ r.T
     r = r - c.T @ basis
     norms = _row_norms(r)
-    again = norms < before * _DGKS_RATIO
-    if again.any():
-        c2 = basis @ r[again].T
-        r[again] -= c2.T @ basis
-        c[:, again] += c2
+    if norms[0] < before[0] * _DGKS_RATIO:
+        c2 = basis @ r.T
+        r -= c2.T @ basis
+        c += c2
         norms = _row_norms(r)
-    if r.shape[0] == 1:
-        if norms[0] > _DROP_RTOL * ref:
-            return r / norms[0], c, norms[:, None]
-        return r[:0], c, np.empty((1, 0))
-    u, s, vt = np.linalg.svd(r, full_matrices=False)
-    kept = s > _DROP_RTOL * ref
-    return vt[kept], c, u[:, kept] * s[kept]
-
-
-def _lowest(count: int):
-    """Target rule of `lowest_eigs`: the `count` lowest Ritz values."""
-    return lambda theta: np.arange(count)
+    if norms[0] > _DROP_RTOL * ref:
+        return r / norms[0], c, norms[:, None]
+    return r[:0], c, np.empty((1, 0))
 
 
 def _above(threshold: float):
@@ -202,62 +187,57 @@ def _ground_and_gap(threshold: float):
     return targets
 
 
-def _lanczos(matvec, dim: int, width: int, rng: np.random.Generator, targets, *,
-             range_start: bool = False, res_rtol: float = DEFAULT_RES_RTOL,
-             max_iter: int = 3000, max_basis: int = _MAX_BASIS,
-             stats: SolverStats | None = None) -> np.ndarray:
-    """Thick-restart block Lanczos with full reorthogonalization.
+def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
+             res_rtol: float = DEFAULT_RES_RTOL, max_iter: int = 3000,
+             max_basis: int = _MAX_BASIS, stats: SolverStats | None = None) -> np.ndarray:
+    """Thick-restart Lanczos with full reorthogonalization, from a random start.
 
-    Expands by a block of `width` vectors per step (so multiplicities up to
-    `width` are resolved), from random start vectors, or from their images
-    under H when `range_start` is set (a basis inside the range of H).
-    `targets(theta)` picks the wanted Ritz values among the ascending
-    `theta` as an ascending index array of fixed length; an index equal to
-    theta.size marks a target not (yet) among them.  Returns the targets'
-    Ritz values, all of them once converged; when the reachable invariant
-    subspace is spanned first (values are then exact for that subspace),
-    only those that are present.
+    The start vector is one row drawn from `rng`.  `targets(theta)` picks the
+    wanted Ritz values among the ascending `theta` as an ascending index
+    array of fixed length; an index equal to theta.size marks a target not
+    (yet) among them.  Returns the targets' Ritz values, all of them once
+    converged; when the basis spans the whole space first (values are then
+    exact), only those that are present.
 
     Only the basis V and the lower triangle of the projected matrix T are
-    stored; the images H Q of the newest block Q live for one step.  A step
-    (one core for every block width):
+    stored; the image H q of the newest vector q lives for one step.  A step:
 
-    1. stores Q and applies H to it; A = Q (H Q)^T is T's diagonal block;
-    2. subtracts from H Q its components on Q (A) and on the rows that T
-       couples to Q: the previous block, or every kept Ritz vector right
+    1. stores q and applies H to it; alpha = q (H q)^T is T's diagonal entry;
+    2. subtracts from H q its components on q (alpha) and on the rows that T
+       couples to q: the previous vector, or every kept Ritz vector right
        after a restart (an arrowhead);
     3. makes one classical Gram-Schmidt pass against all of V, whose
-       coefficients on Q are added to A, and a second pass only for a row
-       that this pass cut below 1/sqrt(2) of its norm (DGKS);
-    4. orthonormalizes the result into the next block (dropping directions
-       below _DROP_RTOL of the largest row of H Q); the factor B with
-       result = B @ next block is the next block's coupling to Q in T.
+       coefficient on q is added to alpha, and a second pass only when this
+       pass cut the vector below 1/sqrt(2) of its norm (DGKS);
+    4. normalizes the result into the next vector; its norm beta is the next
+       vector's coupling to q in T.  A result below _DROP_RTOL of ||H q||
+       means the Krylov space is invariant: the iteration goes on from a new
+       random vector orthogonal to V, coupled to nothing, until V spans the
+       space.
 
     Rayleigh-Ritz runs every _RITZ_INTERVAL steps on eigh(T).  A target's
-    residual estimate is ||B^T y_last||, y_last being its Ritz vector's
-    entries on the newest block.  The targets are accepted when all are
-    present, every estimate is within tolerance and then every explicit
-    residual ||H x - theta x|| (one matvec per target) is too; otherwise the
+    residual estimate is |beta y_last|, y_last being its Ritz vector's entry
+    on the newest vector.  The targets are accepted when all are present,
+    every estimate is within tolerance and then every explicit residual
+    ||H x - theta x|| (one matvec per target) is too; otherwise the
     iteration goes on.  A thick restart keeps the lowest Ritz vectors from
     the first target up (so kernel leakage below a threshold is dropped) as
-    V[:k] = y^T V, with T diagonal on them and coupled to the next block by
-    y_last^T B.
+    V[:k] = y^T V, with T diagonal on them and coupled to the next vector by
+    y_last beta.
     """
     stats = SolverStats() if stats is None else stats
-    cap = min(dim, max(max_basis, 3 * width))  # room for the kept vectors and a block
-    keep = max(width, cap // 3)
+    cap = min(dim, max_basis)
+    keep = cap // 3
     V = np.empty((cap, dim))
-    T = np.empty((cap, cap))  # kept current: the lower triangle and the diagonal blocks
+    T = np.empty((cap, cap))  # kept current: the lower triangle and the diagonal
 
     def apply(rows):
         stats.matvec_columns += rows.shape[0]
         return np.asarray(matvec(np.ascontiguousarray(rows.T)), dtype=float).T
 
     def fresh(n):
-        z = rng.standard_normal((width, dim))
-        if range_start:
-            z = apply(z)
-        return _orthonormalize(z, V[:n], _row_norms(z).max())[0]
+        z = rng.standard_normal((1, dim))
+        return _orthonormalize(z, V[:n], _row_norms(z)[0])[0]
 
     def residuals(values, y, n):
         if values.size == 0:
@@ -266,28 +246,26 @@ def _lanczos(matvec, dim: int, width: int, rng: np.random.Generator, targets, *,
         return _row_norms(apply(x) - values[:, None] * x)
 
     q = fresh(0)
-    if q.shape[0] == 0:
-        return np.empty(0)  # the operator's range is (numerically) trivial
-    # rows [lo:n] are coupled to the next block q by T[n:m, lo:n] = coupling.T
+    # rows [lo:n] are coupled to the next vector q by T[n, lo:n] = coupling.T
     n = lo = 0
-    coupling = np.empty((0, q.shape[0]))
+    coupling = np.empty((0, 1))
     for step in range(max_iter + 1):
-        m = n + q.shape[0]
+        m = n + 1
         V[n:m] = q
         T[n:m, :lo] = 0.0
         T[n:m, lo:n] = coupling.T
         hq = apply(q)
         T[n:m, n:m] = q @ hq.T
         r = hq - T[n:m, lo:m] @ V[lo:m]
-        q, c, coupling = _orthonormalize(r, V[:m], _row_norms(hq).max())
+        q, c, coupling = _orthonormalize(r, V[:m], _row_norms(hq)[0])
         T[n:m, n:m] += c[n:m]
         lo, n = n, m
         stats.iterations += 1
         if q.shape[0] == 0:
             q = fresh(n)  # Krylov space invariant: continue from a new direction
             coupling = np.zeros((n - lo, q.shape[0]))
-        spanned = q.shape[0] == 0  # the reachable invariant subspace is spanned
-        full = n + q.shape[0] > cap
+        spanned = q.shape[0] == 0  # V spans the whole space
+        full = not spanned and n == cap
         if spanned or full or step % _RITZ_INTERVAL == 0 or step == max_iter:
             theta, y = np.linalg.eigh(T[:n, :n], UPLO="L")
             want = targets(theta)
@@ -299,11 +277,10 @@ def _lanczos(matvec, dim: int, width: int, rng: np.random.Generator, targets, *,
                 if spanned or np.all(res <= tol):
                     break
             if step == max_iter:
-                raise SolverConvergenceError(f"no convergence after {max_iter} iterations "
-                                             f"(dim={dim}, block width={width})")
+                raise SolverConvergenceError(f"no convergence after {max_iter} iterations (dim={dim})")
         if full:
             # thick restart: the lowest Ritz vectors from the first target up,
-            # then the next block q, which holds all of their residuals
+            # then the next vector q, which holds all of their residuals
             kept = np.arange(want[0], min(want[0] + keep, n))
             k = kept.size
             V[:k] = y[:, kept].T @ V[:n]
@@ -315,35 +292,6 @@ def _lanczos(matvec, dim: int, width: int, rng: np.random.Generator, targets, *,
     return theta[found]
 
 
-def lowest_eigs(
-    matvec,
-    dim: int,
-    count: int,
-    *,
-    seed: RandomSeed | None = None,
-    res_rtol: float = DEFAULT_RES_RTOL,
-    max_iter: int = 3000,
-) -> np.ndarray:
-    """The `count` lowest eigenvalues of a symmetric PSD operator, ascending.
-
-    `matvec` must map a (dim, b) block of columns to the (dim, b) block of
-    their images.  Block Lanczos with block width `count` (so degenerate
-    levels are resolved up to that multiplicity), full reorthogonalization,
-    and a deterministic start block drawn from `seed`.  Raises
-    SolverConvergenceError at the iteration cap.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if dim < count:
-        raise InvalidDimensionError(f"dim={dim} is smaller than count={count}")
-    rng = (seed or RandomSeed()).generator(substream=1)
-    theta = _lanczos(matvec, dim, count, rng, _lowest(count), res_rtol=res_rtol,
-                     max_iter=max_iter)
-    if theta.size < count:
-        raise SolverConvergenceError(f"resolved only {theta.size} of {count} requested eigenvalues")
-    return theta
-
-
 def smallest_eig_above(
     matvec,
     dim: int,
@@ -352,19 +300,18 @@ def smallest_eig_above(
     seed: RandomSeed | None = None,
     res_rtol: float = DEFAULT_RES_RTOL,
     max_iter: int = 3000,
-    stats: SolverStats | None = None,
 ) -> float | None:
     """Smallest eigenvalue strictly above `threshold` of a symmetric PSD operator.
 
     `matvec` must map a (dim, b) block of columns to the (dim, b) block of
-    their images.  The Krylov basis starts inside ran(H), which deflates the
-    kernel without ever resolving its dimension.  Returns None when the
-    reachable range holds no eigenvalue above the threshold (zero operator).
-    The solver's work is added to `stats` when one is given.
+    their images.  One Lanczos solve from a random start (substream 2 of
+    `seed`): its Krylov space holds the kernel as one Ritz value below the
+    threshold, and a restart keeps only Ritz vectors from the target up.
+    Returns None when the basis spans the whole space (dim <= _MAX_BASIS)
+    without an eigenvalue above the threshold, as for a zero operator.
     """
     rng = (seed or RandomSeed()).generator(substream=2)
-    theta = _lanczos(matvec, dim, 1, rng, _above(threshold), range_start=True,
-                     res_rtol=res_rtol, max_iter=max_iter, stats=stats)
+    theta = _lanczos(matvec, dim, rng, _above(threshold), res_rtol=res_rtol, max_iter=max_iter)
     return float(theta[0]) if theta.size else None
 
 
@@ -426,7 +373,7 @@ def gap_report(
 
     rng = (seed or RandomSeed()).generator(substream=1)
     stats = SolverStats()
-    theta = _lanczos(hamiltonian_matvec(spec, P), dim, 1, rng, _ground_and_gap(thr),
+    theta = _lanczos(hamiltonian_matvec(spec, P), dim, rng, _ground_and_gap(thr),
                      res_rtol=res_rtol, stats=stats)
     if theta.size < 2:
         raise SolverConvergenceError(f"no eigenvalue found above the floor (threshold {thr:.3e})")

@@ -1,0 +1,49 @@
+"""The names the benchmark (`bench/`) takes from gapcert still resolve.
+
+`bench/` imports gapcert names and patches others by name (`PATCH_POINTS` in
+`bench/spans.py`); a deleted or renamed one would only show when the
+benchmark runs.  The files are read with `ast`, not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _trees():
+    paths = sorted(BENCH.glob("*.py"))
+    assert paths, f"no benchmark sources under {BENCH}"
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _resolves(module: str, name: str) -> bool:
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # a submodule, as in `from gapcert import harness`
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_imports_resolve():
+    hooks = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                    and node.module.split(".")[0] == "gapcert":
+                hooks.update((node.module, alias.name) for alias in node.names)
+    assert hooks
+    assert sorted(hook for hook in hooks if not _resolves(*hook)) == []
+
+
+def test_bench_patch_points_resolve():
+    tree = _trees()["spans.py"]
+    points = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "PATCH_POINTS" for t in node.targets))
+    hooks = {(module, name) for module, names in points.items() for name in names}
+    assert hooks
+    assert sorted(hook for hook in hooks if not _resolves(*hook)) == []

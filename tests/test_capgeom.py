@@ -19,19 +19,8 @@ from gapcert import (
     landing_exponent,
     landing_probability_bound,
     sample_sphere,
-    spherical_distance,
     step_bounds,
 )
-
-
-def test_spherical_distance_basic():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    assert spherical_distance(e1, e1) == 0.0
-    assert abs(spherical_distance(e1, e2) - math.pi / 2.0) < 1e-15
-    assert abs(spherical_distance(e1, -e1) - math.pi) < 1e-15
-    with pytest.raises(DomainError):
-        spherical_distance(e1, 2.0 * e2)
 
 
 def test_euclidean_distance_dominated_by_spherical():
@@ -45,7 +34,7 @@ def test_euclidean_distance_dominated_by_spherical():
     assert np.abs(eucl - 2.0 * np.sin(dist / 2.0)).max() < 1e-12
     assert np.all(eucl <= dist + 1e-15)
     x, y = xs[0], ys[0]
-    assert abs(spherical_distance(x, y) - dist[0]) < 1e-14
+    assert abs(np.arccos(np.clip(x @ y, -1, 1)) - dist[0]) < 1e-14
 
 
 def test_cap_query_validation():

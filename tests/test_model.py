@@ -11,7 +11,6 @@ from gapcert import (
     NotAProjectorError,
     OrthonormalFamily,
     TreeSpec,
-    chain_flat_index,
     chain_matvec,
     dense_hamiltonian,
     hamiltonian_matvec,
@@ -32,12 +31,6 @@ def test_pair_flat_index():
     assert pair_flat_index(2, 2, 3) == 4
     with pytest.raises(InvalidDimensionError):
         pair_flat_index(0, 1, 2)
-
-
-def test_chain_flat_index():
-    assert chain_flat_index((1, 2, 1), 2) == 2
-    assert chain_flat_index((2, 1), 3) == 3
-    assert chain_flat_index((1,) * 5, 4) == 0
 
 
 def test_tree_layout():
@@ -113,7 +106,7 @@ def test_chain_matvec_two_sites_equals_projector():
 def test_chain_matvec_reference_kernel_vector():
     p = reference_projector(3, 1)
     x = np.zeros(3**5)
-    x[chain_flat_index((1, 1, 1, 1, 1), 3)] = 1.0
+    x[0] = 1.0  # the configuration (1, 1, 1, 1, 1)
     assert np.abs(chain_matvec(p, 5, x)).max() == 0.0
 
 
@@ -249,13 +242,11 @@ def test_max_ff_rank_values():
 
 def test_spec_invariants():
     spec = ChainSpec(3, 2, 4)
-    assert spec.dim == 81 and spec.n_terms == 3 and spec.frustration_free_guaranteed
-    assert not ChainSpec(2, 3, 4).frustration_free_guaranteed
+    assert spec.dim == 81 and spec.n_terms == 3
     with pytest.raises(InvalidDimensionError):
         ChainSpec(2, 1, 1)
     tree = TreeSpec(3, 1, 2, 3)
-    assert tree.vertex_count == 7 and tree.n_terms == 6 and tree.frustration_free_guaranteed
-    assert not TreeSpec(3, 2, 2, 2).frustration_free_guaranteed
+    assert tree.sites == 7 and tree.n_terms == 6
 
 
 def test_projector_json_roundtrip_is_exact():

@@ -19,7 +19,6 @@ from gapcert import (
     dense_spectrum,
     gap_report,
     hamiltonian_matvec,
-    lowest_eigs,
     projector_from_family,
     reference_projector,
     smallest_eig_above,
@@ -72,17 +71,11 @@ def test_dense_spectrum_diagonal_fast_path_matches_lapack():
     assert np.abs(dense_spectrum(dense) - np.linalg.eigvalsh(dense)).max() == 0.0
 
 
-def test_lowest_eigs_matches_dense_with_kernel_multiplicity():
-    p = random_projector(2, 1, master=62)
-    spec = ChainSpec(2, 1, 8)
-    evals = dense_spectrum(dense_hamiltonian(spec, p))
-    approx = lowest_eigs(hamiltonian_matvec(spec, p), spec.dim, 4, seed=RandomSeed(0, 1))
-    assert np.abs(approx - evals[:4]).max() < 1e-8
-
-
 def test_solver_hands_matvec_c_ordered_blocks():
     # the edge kernel reshapes its input; a Fortran-ordered block would be
-    # copied once per edge instead of once per call
+    # copied once per edge instead of once per call.  A step applies H to one
+    # vector, the acceptance residuals of gap_report's two targets to a
+    # two-column block.
     p = random_projector(2, 1, master=62)
     spec = ChainSpec(2, 1, 8)
     inner = hamiltonian_matvec(spec, p)
@@ -92,35 +85,22 @@ def test_solver_hands_matvec_c_ordered_blocks():
         seen.append((x.shape[1], x.flags.c_contiguous))
         return inner(x)
 
-    lowest_eigs(matvec, spec.dim, 4, seed=RandomSeed(0, 1))
+    thr = default_kernel_threshold(spec.n_terms)
+    spectral._lanczos(matvec, spec.dim, RandomSeed(0, 1).generator(substream=1),
+                      spectral._ground_and_gap(thr))
     smallest_eig_above(matvec, spec.dim, 1e-8, seed=RandomSeed(0, 1))
-    assert {width for width, _ in seen} >= {1, 4}
+    assert {width for width, _ in seen} == {1, 2}
     assert all(contiguous for _, contiguous in seen)
-
-
-def test_lowest_eigs_zero_operator():
-    vals = lowest_eigs(lambda x: np.zeros_like(x), 10, 4)
-    assert np.abs(vals).max() == 0.0
-
-
-def test_lowest_eigs_resolves_projector_multiplicity():
-    diag = np.diag([1.0, 1.0] + [0.0] * 6)
-    vals = lowest_eigs(lambda x: diag @ x, 8, 7)
-    assert np.abs(vals - np.array([0, 0, 0, 0, 0, 0, 1.0])).max() < 1e-9
-
-
-def test_lowest_eigs_validation():
-    with pytest.raises(InvalidDimensionError):
-        lowest_eigs(lambda x: x, 3, 4)
-    with pytest.raises(ValueError):
-        lowest_eigs(lambda x: x, 3, 0)
 
 
 def test_lowest_eigs_explicit_failure_on_iteration_cap():
     p = random_projector(2, 1, master=63)
     spec = ChainSpec(2, 1, 6)
+    thr = default_kernel_threshold(spec.n_terms)
     with pytest.raises(SolverConvergenceError):
-        lowest_eigs(hamiltonian_matvec(spec, p), spec.dim, 4, max_iter=1)
+        spectral._lanczos(hamiltonian_matvec(spec, p), spec.dim,
+                          RandomSeed().generator(substream=1), spectral._ground_and_gap(thr),
+                          max_iter=1)
 
 
 def test_smallest_eig_above_reference_chain():
@@ -231,14 +211,14 @@ def test_iterative_gap_report_is_one_solve(monkeypatch):
     inner = spectral._lanczos
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
     spec = ChainSpec(3, 1, 6)
     p = random_projector(3, 1, master=71)
     rep = gap_report(spec, p, method="iterative", seed=RandomSeed(71, 1))
-    assert calls == [1]
+    assert len(calls) == 1
     dense = gap_report(spec, p, method="dense")
     assert abs(rep.gap - dense.gap) < 1e-8
 
@@ -356,24 +336,13 @@ def test_thick_restart_matches_dense(spec, p):
     thr = default_kernel_threshold(spec.n_terms)
     matvec = hamiltonian_matvec(spec, p)
     rng = RandomSeed(7, 7).generator(substream=1)
-    for targets, range_start, expected in (
-            (spectral._lowest(1), False, evals[0]),
-            (spectral._above(thr), True, evals[np.searchsorted(evals, thr, "right")])):
+    for targets, expected in (
+            (lambda theta: np.array([0]), evals[0]),  # the lowest Ritz value
+            (spectral._above(thr), evals[np.searchsorted(evals, thr, "right")])):
         stats = spectral.SolverStats()
-        theta = spectral._lanczos(matvec, spec.dim, 1, rng, targets, range_start=range_start,
-                                  max_basis=24, stats=stats)
+        theta = spectral._lanczos(matvec, spec.dim, rng, targets, max_basis=24, stats=stats)
         assert abs(theta[0] - expected) < 1e-8
         assert stats.restarts >= 1
-
-
-def test_block_thick_restart_leaves_room_for_a_block():
-    # 8 kept Ritz vectors plus a block of 8 overflow a 12-row cap; the core widens it
-    diag = np.linspace(0.0, 1.0, 120)
-    stats = spectral.SolverStats()
-    theta = spectral._lanczos(lambda x: diag[:, None] * x, 120, 8, RandomSeed(8, 8).generator(),
-                              spectral._lowest(8), max_basis=12, stats=stats)
-    assert np.abs(theta - diag[:8]).max() < 1e-8
-    assert stats.restarts >= 1
 
 
 @pytest.mark.parametrize(
@@ -388,7 +357,7 @@ def test_gap_report_targets_through_thick_restarts(spec, p):
     dense = gap_report(spec, p, method="dense")
     thr = default_kernel_threshold(spec.n_terms)
     stats = spectral.SolverStats()
-    theta = spectral._lanczos(hamiltonian_matvec(spec, p), spec.dim, 1,
+    theta = spectral._lanczos(hamiltonian_matvec(spec, p), spec.dim,
                               RandomSeed(7, 7).generator(substream=1),
                               spectral._ground_and_gap(thr), max_basis=24, stats=stats)
     assert stats.restarts >= 1
