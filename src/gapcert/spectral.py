@@ -18,9 +18,15 @@ runs every _RITZ_INTERVAL steps.  The recurrence gives each Ritz pair's
 residual norm as |beta y_last|, where beta couples the newest vector to the
 next and y_last is the Ritz vector's last entry; pairs whose estimates are
 all within tolerance are accepted only after one explicit residual
-||H x - theta x|| each confirms them.  A thick restart keeps Ritz vectors
-from the first target up, formed as V y, with T diagonal on them (Wu &
-Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
+||H x - theta x|| each confirms them.  The basis holds at most _MAX_BASIS = 64
+rows, so a step's Gram-Schmidt pass and a Rayleigh-Ritz eigh stay small; a
+full basis is thick-restarted onto a third of its rows, Ritz vectors formed as
+V y with T diagonal on them (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
+A restart keeps each target below the last as its one Ritz vector and the
+Ritz vectors from the last target up.  Rounding lets a converged kernel
+reappear in the Krylov space as further Ritz values near 0; keeping them would
+fill the kept window with copies of the kernel, so the restart purges them
+(the purging of Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).
 
 A solve converges the targets that its caller's rule picks among the
 ascending Ritz values.  For frustration-free operators the kernel can be huge
@@ -63,8 +69,9 @@ DEFAULT_RES_RTOL = 1e-9
 #: Lanczos steps between Rayleigh-Ritz checks (an eigh of T costs far more than a step)
 _RITZ_INTERVAL = 8
 
-#: basis rows of one solve (at most dim); a restart keeps a third
-_MAX_BASIS = 480
+#: basis rows of one solve (at most dim): bounds the Gram-Schmidt pass and the
+#: Ritz eigh of every step; a thick restart keeps a third
+_MAX_BASIS = 64
 
 #: a new direction whose norm fell below this share of its input is dropped
 _DROP_RTOL = 1e-10
@@ -193,9 +200,9 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
     """Thick-restart Lanczos with full reorthogonalization, from a random start.
 
     The start vector is one row drawn from `rng`.  `targets(theta)` picks the
-    wanted Ritz values among the ascending `theta` as an ascending index
-    array of fixed length; an index equal to theta.size marks a target not
-    (yet) among them.  Returns the targets' Ritz values, all of them once
+    wanted Ritz values among the ascending `theta` as a strictly ascending
+    index array of fixed length; an index equal to theta.size marks a target
+    not (yet) among them.  Returns the targets' Ritz values, all of them once
     converged; when the basis spans the whole space first (values are then
     exact), only those that are present.
 
@@ -220,10 +227,16 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
     on the newest vector.  The targets are accepted when all are present,
     every estimate is within tolerance and then every explicit residual
     ||H x - theta x|| (one matvec per target) is too; otherwise the
-    iteration goes on.  A thick restart keeps the lowest Ritz vectors from
-    the first target up (so kernel leakage below a threshold is dropped) as
-    V[:k] = y^T V, with T diagonal on them and coupled to the next vector by
-    y_last beta.
+    iteration goes on, and after `max_iter` steps it raises a
+    SolverConvergenceError naming its restarts and the largest target
+    residual estimate of the last check.  When the basis holds `max_basis`
+    rows, a thick restart keeps `max_basis // 3` Ritz vectors: each target
+    below the last as its one Ritz vector, then the Ritz vectors from the
+    last target up, or from the first target up while the last is not yet
+    among the Ritz values.  Kernel leakage below a threshold and repeated
+    copies of a converged level below the last target are thus dropped.  The
+    kept vectors are V[:k] = y^T V, with T diagonal on them and coupled to the
+    next vector by y_last beta.
     """
     stats = SolverStats() if stats is None else stats
     cap = min(dim, max_basis)
@@ -277,11 +290,19 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
                 if spanned or np.all(res <= tol):
                     break
             if step == max_iter:
-                raise SolverConvergenceError(f"no convergence after {max_iter} iterations (dim={dim})")
+                worst = f"{estimate.max():.3e}" if estimate.size else "none"
+                raise SolverConvergenceError(
+                    f"no convergence after {max_iter} iterations (dim={dim}): "
+                    f"{stats.restarts} restarts, {found.size} of {want.size} targets "
+                    f"found, largest residual estimate {worst} against tolerance {tol:.3e}")
         if full:
-            # thick restart: the lowest Ritz vectors from the first target up,
-            # then the next vector q, which holds all of their residuals
-            kept = np.arange(want[0], min(want[0] + keep, n))
+            # thick restart: each target below the last as its one Ritz vector,
+            # then Ritz vectors from the last target up (from the first target
+            # up while the last is not among them), `keep` in all; then the
+            # next vector q, which holds all of their residuals
+            start = want[-1] if want[-1] < n else want[0]
+            below = want[want < start]
+            kept = np.concatenate([below, np.arange(start, min(start + keep - below.size, n))])
             k = kept.size
             V[:k] = y[:, kept].T @ V[:n]
             T[:k, :k] = np.diag(theta[kept])
@@ -307,8 +328,9 @@ def smallest_eig_above(
     their images.  One Lanczos solve from a random start (substream 2 of
     `seed`): its Krylov space holds the kernel as one Ritz value below the
     threshold, and a restart keeps only Ritz vectors from the target up.
-    Returns None when the basis spans the whole space (dim <= _MAX_BASIS)
-    without an eigenvalue above the threshold, as for a zero operator.
+    Returns None only when the basis spans the whole space, which needs
+    dim <= _MAX_BASIS = 64, without an eigenvalue above the threshold, as for
+    a zero operator.
     """
     rng = (seed or RandomSeed()).generator(substream=2)
     theta = _lanczos(matvec, dim, rng, _above(threshold), res_rtol=res_rtol, max_iter=max_iter)
