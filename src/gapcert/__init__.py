@@ -62,6 +62,7 @@ from .model import (
     max_ff_rank,
     pair_flat_index,
     projector_from_family,
+    range_gram,
     reference_projector,
     tree_edges,
     tree_matvec,

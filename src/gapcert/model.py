@@ -1,8 +1,9 @@
 """Local projectors and chain/tree Hamiltonians with matrix-free matvec.
 
 Both lattices are edge lists: a chain of L sites is the path graph with bonds
-(j, j+1), a tree lists its (parent, child) edges, and one edge-list matvec and
-one dense assembler serve both.
+(j, j+1), a tree lists its (parent, child) edges, and one edge-list matvec,
+one dense assembler of H and one assembler of the Gram matrix of the
+interaction ranges (`range_gram`) serve both.
 
 Basis convention (fixed everywhere in this package):
 
@@ -319,17 +320,107 @@ def tree_matvec(P: LocalProjector, k: int, L: int, x: np.ndarray) -> np.ndarray:
     return _edge_matvec(P, tree_vertex_count(k, L), tree_edges(k, L), x)
 
 
-def dense_hamiltonian(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
-    """Materialize the Hamiltonian as a dense symmetric matrix.
+def _range_factor(P: LocalProjector) -> np.ndarray:
+    """Phi^T as an (r, d, d) array: the r leading eigenvectors of P, scaled by
+    the square roots of their eigenvalues, as pair-basis coefficient matrices."""
+    w, v = np.linalg.eigh(P.matrix)
+    assert np.count_nonzero(w > 0.5) == P.r, "a rank-r projector has r eigenvalues near 1"
+    lead = slice(w.size - P.r, None)
+    return (v[:, lead] * np.sqrt(w[lead])).T.reshape(P.r, P.d, P.d)
 
-    Refuses dimensions above DENSE_DIM_LIMIT; use the matvec routines there.
+
+def _gram_axes(label: str, edge, special: list[int], sites: int, r: int, d: int):
+    """einsum subscripts and axis sizes of one side of a Gram block.
+
+    The side's index is (label, configuration of the sites off ``edge``).  The
+    sorted sites ``special`` cut the sites into runs, run t named "klmno"[t];
+    a special site off ``edge`` gets its own axis, named "ABCD" by its place
+    in ``special``.  Returns the subscripts, the same without the runs, and
+    the axis sizes.
     """
+    subs, own, shape = label, label, [r]
+    for t, (lo, hi) in enumerate(zip([-1, *special], [*special, sites])):
+        subs, shape = subs + "klmno"[t], shape + [d ** (hi - lo - 1)]
+        if hi < sites and hi not in edge:
+            subs, own, shape = subs + "ABCD"[t], own + "ABCD"[t], shape + [d]
+    return subs, own, shape
+
+
+def _edge_gram(phi: np.ndarray, sites: int, edges) -> np.ndarray:
+    """Lower block triangle of G = B^T B for the range factor ``phi`` (r, d, d).
+
+    The block G[e, f] = B_e^T B_f, f <= e, has rows (k, y) and columns (l, z):
+    range indices k, l and configurations y, z of the sites off e and off f,
+    in site order.  The sites of e and f cut the other sites into at most
+    five runs; viewed per side as (r, run, site, run, ..., run), as
+    `_edge_matvec` views a state as (left, d, mid, d, rest), the block is the
+    product of phi on e and phi on f, summed over a shared site, on the
+    diagonal y = z of every run.  One einsum forms that product and another
+    the writable diagonal view it is added to.
+    """
+    r, d = phi.shape[:2]
+    w = r * d ** (sites - 2)
+    n = len(edges)
+    g = np.zeros((n, w, n, w))
+    for e, (a, b) in enumerate(edges):
+        for f, (c, c2) in enumerate(edges[: e + 1]):
+            special = sorted({a, b, c, c2})
+            letter = dict(zip(special, "ABCD"))
+            runs = "klmno"[: len(special) + 1]
+            row, row_own, row_shape = _gram_axes("i", (a, b), special, sites, r, d)
+            col, col_own, col_shape = _gram_axes("j", (c, c2), special, sites, r, d)
+            block = g[e, :, f, :].reshape(row_shape + col_shape, copy=False)
+            diagonal = np.einsum(f"{row}{col}->{runs}{row_own}{col_own}", block)
+            diagonal += np.einsum(f"i{letter[a]}{letter[b]},j{letter[c]}{letter[c2]}"
+                                  f"->{row_own}{col_own}", phi, phi)
+    return g.reshape(n * w, n * w)
+
+
+def _check_dense(spec: ChainSpec | TreeSpec, P: LocalProjector):
     _check_projector_dim(P, spec.d)
     if spec.dim > DENSE_DIM_LIMIT:
         raise InvalidDimensionError(
             f"dimension {spec.dim} exceeds the dense-assembly limit {DENSE_DIM_LIMIT}"
         )
+
+
+def dense_hamiltonian(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
+    """Materialize the Hamiltonian as a dense symmetric matrix.
+
+    Refuses dimensions above DENSE_DIM_LIMIT; use the matvec routines there.
+    """
+    _check_dense(spec, P)
     return _edge_dense(P, spec.sites, spec.edges)
+
+
+def range_gram(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
+    """Gram matrix G = B^T B of the interaction ranges, whose nonzero spectrum
+    is that of the Hamiltonian H = B B^T.  Only its lower triangle is filled.
+
+    Let P = sum_k w_k v_k v_k^T (ascending w) and take Phi = [sqrt(w_k) v_k]
+    over the r leading k, a d^2 x r matrix.  On an edge e = (a, b), Phi_e is
+    Phi on sites a, b times the identity on the other sites: a dim x m_e
+    matrix, m_e = r d^(sites-2), with columns phi_k (x) |y>, y a configuration
+    of the other sites.  Then Phi_e Phi_e^T = (Phi Phi^T)_e, and with
+    B = [Phi_e for e in edges]
+
+        H = sum_e P_e = sum_e Phi_e Phi_e^T = B B^T,   m = n_terms r d^(sites-2)
+
+    columns in all.  B B^T and B^T B have the same nonzero eigenvalues with
+    multiplicity (an SVD of B), so for m < dim the spectrum of H is that of
+    the m x m matrix G plus dim - m exact zeros: H has a kernel of dimension
+    at least dim - m, and small r makes it frustration-free.
+
+    Phi Phi^T equals P up to the discarded eigenvalues: ||Phi Phi^T - P|| is at
+    most the largest |w_k| outside the r leading ones (rounding, for a
+    projector that passed LocalProjector's checks), so by Weyl's inequality
+    each level of B B^T lies within n_terms times that bound of the same
+    level of H.
+
+    Refuses dimensions above DENSE_DIM_LIMIT, as `dense_hamiltonian` does.
+    """
+    _check_dense(spec, P)
+    return _edge_gram(_range_factor(P), spec.sites, spec.edges)
 
 
 def hamiltonian_matvec(spec: ChainSpec | TreeSpec, P: LocalProjector):

@@ -2,7 +2,12 @@
 
 Two routes are provided and cross-validated in the test suite:
 
-* a dense oracle (`dense_spectrum`) for dimensions up to DENSE_DIM_LIMIT;
+* a dense oracle (`dense_spectrum`) for dimensions up to DENSE_DIM_LIMIT.
+  The Hamiltonian is H = B B^T, B holding the n_terms r d^(sites-2) = m
+  columns of the interaction ranges on every edge (`range_gram`), so when
+  m < dim the dense path of `gap_report` solves the m x m Gram matrix
+  G = B^T B and adds the dim - m zeros of the kernel that B leaves; H is
+  assembled and solved when m >= dim or P is diagonal;
 * a matrix-free thick-restart Lanczos iteration with full reorthogonalization
   (the iterative path of `gap_report`, and `smallest_eig_above`).
 
@@ -55,6 +60,7 @@ from .model import (
     TreeSpec,
     dense_hamiltonian,
     hamiltonian_matvec,
+    range_gram,
 )
 
 #: `gap_report(method="auto")` goes dense at or below this dimension
@@ -133,6 +139,9 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     Refuses dimensions above DENSE_DIM_LIMIT.  Exactly diagonal matrices are
     sorted directly (the reference model is diagonal in the product basis, and
     a LAPACK round on a 20k matrix costs minutes for no accuracy benefit).
+    Otherwise LAPACK reads only the lower triangle, so with
+    ``check_symmetry=False`` a matrix filled only there, as `range_gram`
+    fills the Gram matrix, is solved as its symmetric completion.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -151,6 +160,22 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     if np.count_nonzero(h) == np.count_nonzero(diag):
         return np.sort(diag.copy())
     return np.linalg.eigvalsh(h)
+
+
+def _dense_levels(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
+    """Ascending spectrum of the Hamiltonian H = B B^T (`range_gram`).
+
+    When B has m < dim columns and P is not diagonal, this is the spectrum of
+    the m x m Gram matrix G = B^T B plus dim - m exact zeros; otherwise H is
+    assembled and solved (a diagonal P gives a diagonal H, sorted without
+    LAPACK).  H is exactly symmetric and G is read from its lower triangle,
+    so neither is checked for symmetry.
+    """
+    m = spec.n_terms * P.r * P.d ** (spec.sites - 2)
+    if m >= spec.dim or np.count_nonzero(P.matrix) == np.count_nonzero(np.diagonal(P.matrix)):
+        return dense_spectrum(dense_hamiltonian(spec, P), check_symmetry=False)
+    levels = dense_spectrum(range_gram(spec, P), check_symmetry=False)
+    return np.sort(np.concatenate([np.zeros(spec.dim - m), levels]))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -350,6 +375,9 @@ def gap_report(
 
     method: "dense" (full spectrum, refuses dim > DENSE_DIM_LIMIT),
     "iterative" (matrix-free), or "auto" (dense at or below AUTO_DENSE_LIMIT).
+    The dense spectrum comes from one eigensolve of the Gram matrix of the
+    interaction ranges when it is the smaller matrix, with the kernel that its
+    size leaves added as exact zeros, and from H otherwise (`_dense_levels`).
     The gap is the smallest eigenvalue above the kernel threshold; if the ground
     energy itself exceeds the threshold the instance is flagged non-frustration-
     free and the gap falls back to the spacing between the two lowest distinct
@@ -374,8 +402,7 @@ def gap_report(
     if method == "auto":
         method = "dense" if dim <= AUTO_DENSE_LIMIT else "iterative"
     if method == "dense":
-        # dense_hamiltonian is exactly symmetric; the check is for caller matrices
-        evals = dense_spectrum(dense_hamiltonian(spec, P), check_symmetry=False)
+        evals = _dense_levels(spec, P)
         ground = float(evals[0])
         kd = int(np.searchsorted(evals, thr, side="right"))
         ff = ground <= thr

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gapcert.model as model
 from gapcert import (
     ChainSpec,
     InvalidDimensionError,
@@ -17,6 +18,7 @@ from gapcert import (
     max_ff_rank,
     pair_flat_index,
     projector_from_family,
+    range_gram,
     reference_projector,
     tree_edges,
     tree_matvec,
@@ -209,6 +211,41 @@ def test_tree_matvec_dimension_checks():
         tree_matvec(p, 2, 2, np.zeros(9))
     with pytest.raises(InvalidDimensionError):
         TreeSpec(3, 1, 2, 20)  # d^V far beyond any feasible state vector
+
+
+def _edge_factor_oracle(phi, sites, a, b):
+    """Phi on sites a < b times the identity elsewhere, one column per range
+    index k and configuration y of the other sites (k major, y in site order),
+    each column set entry by entry."""
+    r, d = phi.shape[:2]
+    others = [s for s in range(sites) if s not in (a, b)]
+    cols = []
+    for k in range(r):
+        for y in np.ndindex(*(d,) * len(others)):
+            x = np.zeros((d,) * sites)
+            index = [slice(None)] * sites
+            for s, label in zip(others, y):
+                index[s] = label
+            x[tuple(index)] = phi[k]
+            cols.append(x.ravel())
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ChainSpec(3, 1, 4), ChainSpec(2, 2, 4), TreeSpec(2, 1, 2, 3), TreeSpec(2, 1, 3, 2)],
+)
+def test_range_gram_is_gram_of_edge_factors(spec):
+    # H = B B^T, and range_gram fills the lower triangle of B^T B
+    p = random_projector(spec.d, spec.r, master=45)
+    phi = model._range_factor(p)
+    b = np.hstack([_edge_factor_oracle(phi, spec.sites, a, c) for a, c in spec.edges])
+    assert b.shape[1] == spec.n_terms * spec.r * spec.d ** (spec.sites - 2)
+    assert np.abs(b @ b.T - dense_hamiltonian(spec, p)).max() < 1e-14
+    g = range_gram(spec, p)
+    assert np.abs(g - np.tril(b.T @ b)).max() < 1e-14
+    with pytest.raises(InvalidDimensionError):
+        range_gram(spec, random_projector(spec.d + 1, 1, master=45))
 
 
 @pytest.mark.parametrize(

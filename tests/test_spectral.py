@@ -189,6 +189,70 @@ def test_gap_report_tree_no_edges():
     assert rep.kernel_dim == rep.dim
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ChainSpec(3, r, L) for r in (1, 2) for L in range(3, 7)]
+    + [ChainSpec(4, 2, L) for L in range(3, 6)]
+    + [TreeSpec(3, 1, 2, 2), TreeSpec(3, 1, 3, 2), TreeSpec(4, 1, 3, 2)]
+    + [ChainSpec(2, 2, 3)],  # m = dim: assembled and solved as H, not frustration-free
+    ids=str,
+)
+def test_dense_levels_match_the_hamiltonian(spec, monkeypatch):
+    p = random_projector(spec.d, spec.r, master=68)
+    levels = spectral._dense_levels(spec, p)
+    exact = dense_spectrum(dense_hamiltonian(spec, p))
+    thr = default_kernel_threshold(spec.n_terms)
+    assert np.searchsorted(levels, thr, side="right") == np.searchsorted(exact, thr, side="right")
+    assert np.abs(levels - exact).max() < 1e-12
+    rep = gap_report(spec, p, method="dense")
+    monkeypatch.setattr(spectral, "_dense_levels",
+                        lambda spec, p: dense_spectrum(dense_hamiltonian(spec, p)))
+    ref = gap_report(spec, p, method="dense")
+    assert (rep.kernel_dim, rep.frustration_free) == (ref.kernel_dim, ref.frustration_free)
+    assert rep.frustration_free == (spec.d > 2)
+    assert abs(rep.ground_energy - ref.ground_energy) < 1e-12
+    assert abs(rep.gap - ref.gap) < 1e-12
+
+
+def test_dense_gap_report_refuses_above_dense_limit():
+    # d=4, L=8 would take the Gram route (m = 28672 < dim = 65536), d=2 L=15
+    # the Hamiltonian route; both are refused by the state dimension
+    for spec in (ChainSpec(4, 1, 8), ChainSpec(2, 1, 15)):
+        p = random_projector(spec.d, 1, master=69)
+        with pytest.raises(InvalidDimensionError, match="dense-assembly limit"):
+            gap_report(spec, p, method="dense")
+
+
+def test_dense_gap_report_solves_the_range_gram(monkeypatch):
+    # d=3, r=1, L=6: one eigensolve of the 405 x 405 Gram matrix, H never formed
+    shapes = []
+    inner = spectral.dense_spectrum
+
+    def counting(h, *args, **kwargs):
+        shapes.append(h.shape)
+        return inner(h, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("dense_hamiltonian called")
+
+    monkeypatch.setattr(spectral, "dense_spectrum", counting)
+    monkeypatch.setattr(spectral, "dense_hamiltonian", refuse)
+    rep = gap_report(ChainSpec(3, 1, 6), random_projector(3, 1, master=71), method="dense")
+    assert shapes == [(405, 405)]
+    assert rep.frustration_free and rep.kernel_dim >= 729 - 405
+
+
+def test_dense_gap_report_sorts_a_diagonal_hamiltonian(monkeypatch):
+    # the reference projector is diagonal, so is H: no LAPACK round, also at
+    # L=8 where the Gram matrix would be 5103 x 5103
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rep = gap_report(ChainSpec(3, 1, 8), reference_projector(3, 1), method="dense")
+    assert rep.frustration_free and rep.gap == 1.0
+
+
 def _near_good(seed):
     """Near-reference rank-1 projector: on a 3-level binary tree its gap of
     1e-7 to 1e-4 sits just above a kernel of about 2000 states."""
