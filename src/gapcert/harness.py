@@ -466,7 +466,6 @@ def run_lattice_gaps(cfg: ExperimentConfig) -> RunResult:
     when no gaps are computed; verdict from the chain bound) and tree-gap (one
     row per trial; verdict from the tree bound).
     """
-    t_start = time.perf_counter()
     tree = cfg.mode == "tree-gap"
 
     def worker(trial: int) -> list[ResultRow]:
@@ -527,7 +526,6 @@ def run_lattice_gaps(cfg: ExperimentConfig) -> RunResult:
     return RunResult(
         mode=cfg.mode, header=TREE_HEADER if tree else SWEEP_HEADER, rows=rows,
         summary=summary, config=cfg, exit_code=2 if failed else 0,
-        wall_time=time.perf_counter() - t_start,
     )
 
 
@@ -536,7 +534,6 @@ _EVENT_CHUNK = 4096
 
 def run_event_frequency(cfg: ExperimentConfig) -> RunResult:
     """Frequency of all sampled vectors landing within epsilon of the targets."""
-    t_start = time.perf_counter()
     d, r, eps = cfg.d, cfg.r, cfg.epsilon
     targets = reference_targets(d, r)
 
@@ -573,13 +570,11 @@ def run_event_frequency(cfg: ExperimentConfig) -> RunResult:
     }
     return RunResult(
         mode=cfg.mode, header=EVENT_HEADER, rows=[row], summary=summary, config=cfg,
-        exit_code=0, wall_time=time.perf_counter() - t_start,
     )
 
 
 def run_cap_table(cfg: ExperimentConfig) -> RunResult:
     """Exact cap measures vs the closed-form bound and a Monte Carlo estimate."""
-    t_start = time.perf_counter()
     grid = list(product(cfg.n_list, cfg.delta_list))
 
     def worker(idx: int) -> dict:
@@ -601,13 +596,11 @@ def run_cap_table(cfg: ExperimentConfig) -> RunResult:
     summary = {"rows": len(rows), "mc_samples": cfg.mc_samples}
     return RunResult(
         mode=cfg.mode, header=CAP_HEADER, rows=rows, summary=summary, config=cfg,
-        exit_code=0, wall_time=time.perf_counter() - t_start,
     )
 
 
 def run_certify_one(cfg: ExperimentConfig) -> RunResult:
     """Certify a single interaction, read from a file or sampled from a seed."""
-    t_start = time.perf_counter()
     proj = cfg.loaded_projector
     if proj is None:
         seed = RandomSeed(cfg.master_seed, cfg.stream_index)
@@ -615,7 +608,6 @@ def run_certify_one(cfg: ExperimentConfig) -> RunResult:
     cert = certify(proj, k_list=cfg.k_list)
     return RunResult(
         mode=cfg.mode, header=[], rows=[], summary=cert.to_json_obj(), config=cfg,
-        exit_code=0, wall_time=time.perf_counter() - t_start,
     )
 
 
@@ -686,4 +678,7 @@ def _one_blas_thread():
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run a validated configuration, with BLAS on one thread (see the module docstring)."""
     with _one_blas_thread():
-        return _RUNNERS[cfg.mode](cfg)
+        t_start = time.perf_counter()
+        result = _RUNNERS[cfg.mode](cfg)
+        result.wall_time = time.perf_counter() - t_start
+    return result

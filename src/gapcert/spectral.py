@@ -7,7 +7,8 @@ Two routes are provided and cross-validated in the test suite:
   columns of the interaction ranges on every edge (`range_gram`), so when
   m < dim the dense path of `gap_report` solves the m x m Gram matrix
   G = B^T B and adds the dim - m zeros of the kernel that B leaves; H is
-  assembled and solved when m >= dim or P is diagonal;
+  assembled and solved when m >= dim.  A diagonal P gives a diagonal H,
+  read off as H 1 from the matvec and sorted;
 * a matrix-free thick-restart Lanczos iteration with full reorthogonalization
   (the iterative path of `gap_report`, and `smallest_eig_above`).
 
@@ -33,16 +34,17 @@ reappear in the Krylov space as further Ritz values near 0; keeping them would
 fill the kept window with copies of the kernel, so the restart purges them
 (the purging of Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).
 
-A solve converges the targets that its caller's rule picks among the
-ascending Ritz values.  For frustration-free operators the kernel can be huge
+`_ground_and_gap` picks the ground and the gap level among ascending values,
+the dense levels and a solve's Ritz values alike: the lowest, and the lowest
+above a floor, which is the kernel threshold when the lowest is at or below it
+(frustration-free) and the lowest plus the threshold otherwise (the next
+distinct level).  For frustration-free operators the kernel can be huge
 (thousands of states for moderate chains), so the gap is not reached by
 enumerating low eigenvalues.  A single-vector Krylov space holds each distinct
 level once (Parlett, The Symmetric Eigenvalue Problem, ch. 12): started from a
 random vector it resolves the whole reachable kernel as one Ritz value, the
-ground energy, and the gap level as the next one.  `gap_report` therefore runs
-one solve with two targets, the lowest Ritz value and the lowest above a floor:
-the kernel threshold when the lowest is at or below it (frustration-free), and
-the lowest plus the threshold otherwise (the next distinct level).
+ground energy, and the gap level as the next one, so `gap_report` runs one
+solve that converges both targets.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .model import (
     ChainSpec,
     LocalProjector,
     TreeSpec,
+    _check_dense,
     dense_hamiltonian,
     hamiltonian_matvec,
     range_gram,
@@ -82,7 +85,7 @@ _MAX_BASIS = 64
 #: a new direction whose norm fell below this share of its input is dropped
 _DROP_RTOL = 1e-10
 
-#: a row that one Gram-Schmidt pass cut below this share of its norm gets a second pass
+#: a vector that one Gram-Schmidt pass cut below this share of its norm gets a second pass
 _DGKS_RATIO = 2**-0.5
 
 
@@ -104,8 +107,7 @@ class SolverStats:
 class SpectralReport:
     """Spectral summary of one Hamiltonian instance.
 
-    `solver` holds the work of the iterative path (None on the dense path);
-    `to_json_obj` omits it.
+    `solver` holds the work of the iterative path (None on the dense path).
     """
 
     ground_energy: float
@@ -114,32 +116,16 @@ class SpectralReport:
     frustration_free: bool
     method: str
     kernel_threshold: float
-    solver_tolerance: float
     dim: int
     n_terms: int
     solver: SolverStats | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "ground_energy": self.ground_energy,
-            "kernel_dim": self.kernel_dim,
-            "gap": self.gap,
-            "frustration_free": self.frustration_free,
-            "method": self.method,
-            "kernel_threshold": self.kernel_threshold,
-            "solver_tolerance": self.solver_tolerance,
-            "dim": self.dim,
-            "n_terms": self.n_terms,
-        }
-
 
 def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
-    """Full ascending spectrum of a dense symmetric matrix.
+    """Full ascending spectrum of a dense symmetric matrix (LAPACK `eigvalsh`).
 
-    Refuses dimensions above DENSE_DIM_LIMIT.  Exactly diagonal matrices are
-    sorted directly (the reference model is diagonal in the product basis, and
-    a LAPACK round on a 20k matrix costs minutes for no accuracy benefit).
-    Otherwise LAPACK reads only the lower triangle, so with
+    Refuses dimensions above DENSE_DIM_LIMIT; a 0 x 0 matrix has the empty
+    spectrum.  LAPACK reads only the lower triangle, so with
     ``check_symmetry=False`` a matrix filled only there, as `range_gram`
     fills the Gram matrix, is solved as its symmetric completion.
     """
@@ -152,67 +138,61 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
             f"dimension {n} exceeds the dense limit {DENSE_DIM_LIMIT}; use the iterative path"
         )
     if check_symmetry:
-        scale = max(1.0, float(np.abs(h).max()))
-        asym = float(np.abs(h - h.T).max())
+        scale = float(np.abs(h).max(initial=1.0))
+        asym = float(np.abs(h - h.T).max(initial=0.0))
         if asym > 1e-10 * scale:
             raise DomainError(f"matrix is not symmetric: max |H - H^T| = {asym:.3e}")
-    diag = np.diagonal(h)
-    if np.count_nonzero(h) == np.count_nonzero(diag):
-        return np.sort(diag.copy())
     return np.linalg.eigvalsh(h)
 
 
 def _dense_levels(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
     """Ascending spectrum of the Hamiltonian H = B B^T (`range_gram`).
 
-    When B has m < dim columns and P is not diagonal, this is the spectrum of
-    the m x m Gram matrix G = B^T B plus dim - m exact zeros; otherwise H is
-    assembled and solved (a diagonal P gives a diagonal H, sorted without
-    LAPACK).  H is exactly symmetric and G is read from its lower triangle,
-    so neither is checked for symmetry.
+    A diagonal P gives a diagonal H, whose diagonal is H 1: the matvec adds
+    the same entries in the same edge order as `dense_hamiltonian`, so the
+    sorted H 1 equals the sorted diagonal of H bit for bit, without a dim^2
+    array or LAPACK.  Otherwise, when B has m < dim columns, this is the
+    spectrum of the m x m Gram matrix G = B^T B plus dim - m exact zeros, and
+    for m >= dim H is assembled and solved.  H is exactly symmetric and G is
+    read from its lower triangle, so neither is checked for symmetry.  Every
+    route refuses dimensions above DENSE_DIM_LIMIT.
     """
+    if np.count_nonzero(P.matrix) == np.count_nonzero(np.diagonal(P.matrix)):
+        _check_dense(spec, P)
+        return np.sort(hamiltonian_matvec(spec, P)(np.ones(spec.dim)))
     m = spec.n_terms * P.r * P.d ** (spec.sites - 2)
-    if m >= spec.dim or np.count_nonzero(P.matrix) == np.count_nonzero(np.diagonal(P.matrix)):
+    if m >= spec.dim:
         return dense_spectrum(dense_hamiltonian(spec, P), check_symmetry=False)
     levels = dense_spectrum(range_gram(spec, P), check_symmetry=False)
     return np.sort(np.concatenate([np.zeros(spec.dim - m), levels]))
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
-
-
 def _orthonormalize(r: np.ndarray, basis: np.ndarray, ref: float):
-    """The row `r` projected off the orthonormal rows of `basis`, normalized.
+    """The vector `r` projected off the orthonormal rows of `basis`, normalized.
 
-    One classical Gram-Schmidt pass with coefficients c = basis @ r.T, and a
+    One classical Gram-Schmidt pass with coefficients c = basis @ r, and a
     second pass when this one cut r below 1/sqrt(2) of its input norm (Daniel,
     Gragg, Kaufman & Stewart).  Returns (q, c, beta) with the projected
-    r = beta @ q; q is empty when the projected r falls below _DROP_RTOL * ref.
+    r = beta q; when that falls below _DROP_RTOL * ref, q is None and beta 0.
     """
-    before = _row_norms(r)
-    c = basis @ r.T
-    r = r - c.T @ basis
-    norms = _row_norms(r)
-    if norms[0] < before[0] * _DGKS_RATIO:
-        c2 = basis @ r.T
-        r -= c2.T @ basis
+    before = np.linalg.norm(r)
+    c = basis @ r
+    r = r - c @ basis
+    beta = np.linalg.norm(r)
+    if beta < before * _DGKS_RATIO:
+        c2 = basis @ r
+        r -= c2 @ basis
         c += c2
-        norms = _row_norms(r)
-    if norms[0] > _DROP_RTOL * ref:
-        return r / norms[0], c, norms[:, None]
-    return r[:0], c, np.empty((1, 0))
-
-
-def _above(threshold: float):
-    """Target rule of `smallest_eig_above`: the lowest Ritz value above `threshold`."""
-    return lambda theta: np.array([np.searchsorted(theta, threshold, side="right")])
+        beta = np.linalg.norm(r)
+    if beta > _DROP_RTOL * ref:
+        return r / beta, c, beta
+    return None, c, 0.0
 
 
 def _ground_and_gap(threshold: float):
-    """Target rule of `gap_report`: the lowest Ritz value and the lowest above
-    the floor, which is `threshold` when the lowest is at or below it and the
-    lowest plus `threshold` otherwise."""
+    """Target rule of every solve and of the dense levels: the lowest value and
+    the lowest above the floor, which is `threshold` when the lowest is at or
+    below it and the lowest plus `threshold` otherwise."""
     def targets(theta):
         floor = threshold if theta[0] <= threshold else theta[0] + threshold
         return np.array([0, np.searchsorted(theta, floor, side="right")])
@@ -224,17 +204,19 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
              max_basis: int = _MAX_BASIS, stats: SolverStats | None = None) -> np.ndarray:
     """Thick-restart Lanczos with full reorthogonalization, from a random start.
 
-    The start vector is one row drawn from `rng`.  `targets(theta)` picks the
-    wanted Ritz values among the ascending `theta` as a strictly ascending
-    index array of fixed length; an index equal to theta.size marks a target
-    not (yet) among them.  Returns the targets' Ritz values, all of them once
+    The start vector is drawn from `rng`.  `targets(theta)` picks the wanted
+    Ritz values among the ascending `theta` as a strictly ascending index
+    array of fixed length; an index equal to theta.size marks a target not
+    (yet) among them.  Returns the targets' Ritz values, all of them once
     converged; when the basis spans the whole space first (values are then
     exact), only those that are present.
 
     Only the basis V and the lower triangle of the projected matrix T are
-    stored; the image H q of the newest vector q lives for one step.  A step:
+    stored; the image H q of the newest vector q lives for one step.  Vectors
+    are 1-D and `matvec` gets them one at a time; T's row n, that of the next
+    vector, holds its coupling T[n, lo:n] to the rows [lo:n].  A step:
 
-    1. stores q and applies H to it; alpha = q (H q)^T is T's diagonal entry;
+    1. stores q and applies H to it; alpha = q . H q is T's diagonal entry;
     2. subtracts from H q its components on q (alpha) and on the rows that T
        couples to q: the previous vector, or every kept Ritz vector right
        after a restart (an arrowhead);
@@ -251,67 +233,58 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
     residual estimate is |beta y_last|, y_last being its Ritz vector's entry
     on the newest vector.  The targets are accepted when all are present,
     every estimate is within tolerance and then every explicit residual
-    ||H x - theta x|| (one matvec per target) is too; otherwise the
-    iteration goes on, and after `max_iter` steps it raises a
-    SolverConvergenceError naming its restarts and the largest target
-    residual estimate of the last check.  When the basis holds `max_basis`
-    rows, a thick restart keeps `max_basis // 3` Ritz vectors: each target
-    below the last as its one Ritz vector, then the Ritz vectors from the
-    last target up, or from the first target up while the last is not yet
-    among the Ritz values.  Kernel leakage below a threshold and repeated
-    copies of a converged level below the last target are thus dropped.  The
-    kept vectors are V[:k] = y^T V, with T diagonal on them and coupled to the
-    next vector by y_last beta.
+    ||H x - theta x|| is too, H applied to the targets' Ritz vectors as one
+    (dim, k) block; otherwise the iteration goes on, and after `max_iter`
+    steps it raises a SolverConvergenceError naming its restarts and the
+    largest target residual estimate of the last check.  When the basis holds
+    `max_basis` rows, a thick restart keeps `max_basis // 3` Ritz vectors:
+    each target below the last as its one Ritz vector, then the Ritz vectors
+    from the last target up, or from the first target up while the last is
+    not yet among the Ritz values.  Kernel leakage below a threshold and
+    repeated copies of a converged level below the last target are thus
+    dropped.  The kept vectors are V[:k] = y^T V, with T diagonal on them and
+    coupled to the next vector by y_last beta.
     """
     stats = SolverStats() if stats is None else stats
     cap = min(dim, max_basis)
     keep = cap // 3
     V = np.empty((cap, dim))
-    T = np.empty((cap, cap))  # kept current: the lower triangle and the diagonal
+    T = np.empty((cap + 1, cap))  # kept current: the lower triangle, the diagonal, row n
 
-    def apply(rows):
-        stats.matvec_columns += rows.shape[0]
-        return np.asarray(matvec(np.ascontiguousarray(rows.T)), dtype=float).T
+    def apply(x):
+        stats.matvec_columns += x.size // dim
+        return np.asarray(matvec(x), dtype=float)
 
     def fresh(n):
-        z = rng.standard_normal((1, dim))
-        return _orthonormalize(z, V[:n], _row_norms(z)[0])[0]
-
-    def residuals(values, y, n):
-        if values.size == 0:
-            return values
-        x = y.T @ V[:n]
-        return _row_norms(apply(x) - values[:, None] * x)
+        z = rng.standard_normal(dim)
+        return _orthonormalize(z, V[:n], np.linalg.norm(z))[0]
 
     q = fresh(0)
-    # rows [lo:n] are coupled to the next vector q by T[n, lo:n] = coupling.T
     n = lo = 0
-    coupling = np.empty((0, 1))
     for step in range(max_iter + 1):
-        m = n + 1
-        V[n:m] = q
-        T[n:m, :lo] = 0.0
-        T[n:m, lo:n] = coupling.T
+        V[n] = q
         hq = apply(q)
-        T[n:m, n:m] = q @ hq.T
-        r = hq - T[n:m, lo:m] @ V[lo:m]
-        q, c, coupling = _orthonormalize(r, V[:m], _row_norms(hq)[0])
-        T[n:m, n:m] += c[n:m]
-        lo, n = n, m
+        T[n, n] = q @ hq
+        r = hq - T[n, lo:n + 1] @ V[lo:n + 1]
+        q, c, beta = _orthonormalize(r, V[:n + 1], np.linalg.norm(hq))
+        T[n, n] += c[n]
+        lo, n = n, n + 1
         stats.iterations += 1
-        if q.shape[0] == 0:
+        if q is None:
             q = fresh(n)  # Krylov space invariant: continue from a new direction
-            coupling = np.zeros((n - lo, q.shape[0]))
-        spanned = q.shape[0] == 0  # V spans the whole space
+        spanned = q is None  # V spans the whole space
         full = not spanned and n == cap
+        T[n, :n] = 0.0
+        T[n, lo] = beta
         if spanned or full or step % _RITZ_INTERVAL == 0 or step == max_iter:
             theta, y = np.linalg.eigh(T[:n, :n], UPLO="L")
             want = targets(theta)
             found = want[want < n]
             tol = res_rtol * max(1.0, float(np.abs(theta).max()))
-            estimate = _row_norms(y[lo:n, found].T @ coupling)
+            estimate = np.abs(T[n, lo:n] @ y[lo:n, found])
             if spanned or (found.size == want.size and np.all(estimate <= tol)):
-                res = residuals(theta[found], y[:, found], n)
+                x = V[:n].T @ y[:, found]
+                res = np.linalg.norm(apply(x) - theta[found] * x, axis=0)
                 if spanned or np.all(res <= tol):
                     break
             if step == max_iter:
@@ -330,8 +303,8 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
             kept = np.concatenate([below, np.arange(start, min(start + keep - below.size, n))])
             k = kept.size
             V[:k] = y[:, kept].T @ V[:n]
+            T[k, :k] = T[n, lo:n] @ y[lo:n, kept]
             T[:k, :k] = np.diag(theta[kept])
-            coupling = y[lo:n, kept].T @ coupling
             n, lo = k, 0
             stats.restarts += 1
     stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
@@ -349,17 +322,19 @@ def smallest_eig_above(
 ) -> float | None:
     """Smallest eigenvalue strictly above `threshold` of a symmetric PSD operator.
 
-    `matvec` must map a (dim, b) block of columns to the (dim, b) block of
-    their images.  One Lanczos solve from a random start (substream 2 of
-    `seed`): its Krylov space holds the kernel as one Ritz value below the
-    threshold, and a restart keeps only Ritz vectors from the target up.
-    Returns None only when the basis spans the whole space, which needs
-    dim <= _MAX_BASIS = 64, without an eigenvalue above the threshold, as for
-    a zero operator.
+    `matvec` maps a vector to its image, and a (dim, b) block of columns to
+    the block of their images.  One Lanczos solve with `gap_report`'s target
+    rule `_ground_and_gap(threshold)` from a random start (substream 2 of
+    `seed`) returns the ground and the lowest level above its floor; the
+    result is the lowest of them above the threshold.  Returns None only when
+    the basis spans the whole space, which needs dim <= _MAX_BASIS = 64,
+    without an eigenvalue above the threshold, as for a zero operator.
     """
     rng = (seed or RandomSeed()).generator(substream=2)
-    theta = _lanczos(matvec, dim, rng, _above(threshold), res_rtol=res_rtol, max_iter=max_iter)
-    return float(theta[0]) if theta.size else None
+    theta = _lanczos(matvec, dim, rng, _ground_and_gap(threshold),
+                     res_rtol=res_rtol, max_iter=max_iter)
+    above = theta[theta > threshold]
+    return float(above[0]) if above.size else None
 
 
 def gap_report(
@@ -375,63 +350,49 @@ def gap_report(
 
     method: "dense" (full spectrum, refuses dim > DENSE_DIM_LIMIT),
     "iterative" (matrix-free), or "auto" (dense at or below AUTO_DENSE_LIMIT).
-    The dense spectrum comes from one eigensolve of the Gram matrix of the
-    interaction ranges when it is the smaller matrix, with the kernel that its
-    size leaves added as exact zeros, and from H otherwise (`_dense_levels`).
-    The gap is the smallest eigenvalue above the kernel threshold; if the ground
-    energy itself exceeds the threshold the instance is flagged non-frustration-
-    free and the gap falls back to the spacing between the two lowest distinct
-    levels.  The iterative path runs one Lanczos solve from a random start
-    (substream 1 of `seed`) that converges two Ritz values: the lowest, which
-    is the ground energy, and the lowest above the kernel threshold (or, when
-    the lowest exceeds it, above ground energy + threshold), which is the gap
-    level.  There the kernel dimension of a frustration-free instance is not
-    resolved (it can run to thousands of states) and comes back None; the
-    report also carries the solve's work (iterations, matvec columns,
-    restarts) and the largest explicit residual of an accepted Ritz pair.
+    The dense levels come from `_dense_levels`; the iterative path runs one
+    Lanczos solve from a random start (substream 1 of `seed`).  Both pick the
+    ground energy and the gap level with `_ground_and_gap`: the lowest value,
+    and the lowest above the kernel threshold.  If the ground energy itself
+    exceeds the threshold the instance is flagged non-frustration-free, its
+    kernel dimension is 0 and the gap is the spacing to the next distinct
+    level, the lowest above ground energy + threshold.  The dense kernel
+    dimension counts the levels at or below the threshold; the iterative one
+    of a frustration-free instance is not resolved (it can run to thousands
+    of states) and comes back None.  An iterative report also carries the
+    solve's work (`SolverStats`).
     """
     dim = spec.dim
     n_terms = spec.n_terms
     thr = default_kernel_threshold(n_terms) if kernel_threshold is None else kernel_threshold
+    if method == "auto":
+        method = "dense" if dim <= AUTO_DENSE_LIMIT else "iterative"
+    if method not in ("dense", "iterative"):
+        raise ValueError(f"unknown method {method!r}")
     if n_terms == 0:
         return SpectralReport(
             ground_energy=0.0, kernel_dim=dim, gap=None, frustration_free=True,
-            method="trivial", kernel_threshold=thr, solver_tolerance=0.0,
-            dim=dim, n_terms=0,
+            method="trivial", kernel_threshold=thr, dim=dim, n_terms=0,
         )
-    if method == "auto":
-        method = "dense" if dim <= AUTO_DENSE_LIMIT else "iterative"
+    stats = None
     if method == "dense":
-        evals = _dense_levels(spec, P)
-        ground = float(evals[0])
-        kd = int(np.searchsorted(evals, thr, side="right"))
-        ff = ground <= thr
-        if ff:
-            gap = float(evals[kd]) if kd < dim else None
-        else:
-            kd = 0
-            idx = int(np.searchsorted(evals, ground + thr, side="right"))
-            gap = float(evals[idx] - ground) if idx < dim else None
-        return SpectralReport(
-            ground_energy=ground, kernel_dim=kd, gap=gap, frustration_free=ff,
-            method="dense", kernel_threshold=thr, solver_tolerance=1e-10,
-            dim=dim, n_terms=n_terms,
-        )
-    if method != "iterative":
-        raise ValueError(f"unknown method {method!r}")
-
-    rng = (seed or RandomSeed()).generator(substream=1)
-    stats = SolverStats()
-    theta = _lanczos(hamiltonian_matvec(spec, P), dim, rng, _ground_and_gap(thr),
-                     res_rtol=res_rtol, stats=stats)
-    if theta.size < 2:
-        raise SolverConvergenceError(f"no eigenvalue found above the floor (threshold {thr:.3e})")
-    ground, above = float(theta[0]), float(theta[1])
+        levels = _dense_levels(spec, P)
+        want = _ground_and_gap(thr)(levels)
+        theta = levels[want[want < dim]]
+        kd = int(np.searchsorted(levels, thr, side="right"))
+    else:
+        rng = (seed or RandomSeed()).generator(substream=1)
+        stats = SolverStats()
+        theta = _lanczos(hamiltonian_matvec(spec, P), dim, rng, _ground_and_gap(thr),
+                         res_rtol=res_rtol, stats=stats)
+        if theta.size < 2:
+            raise SolverConvergenceError(
+                f"no eigenvalue found above the floor (threshold {thr:.3e})")
+        kd = None
+    ground = float(theta[0])
     ff = ground <= thr
-    gap = above if ff else above - ground
-    kd = None if ff else 0
+    gap = None if theta.size < 2 else float(theta[1] if ff else theta[1] - theta[0])
     return SpectralReport(
-        ground_energy=ground, kernel_dim=kd, gap=gap, frustration_free=ff,
-        method="iterative", kernel_threshold=thr, solver_tolerance=res_rtol,
-        dim=dim, n_terms=n_terms, solver=stats,
+        ground_energy=ground, kernel_dim=kd if ff else 0, gap=gap, frustration_free=ff,
+        method=method, kernel_threshold=thr, dim=dim, n_terms=n_terms, solver=stats,
     )

@@ -322,7 +322,7 @@ def test_concurrent_runs_share_one_pin(monkeypatch):
         seen.append(get())
         time.sleep(0.001)
         seen.append(get())
-        return None
+        return harness.RunResult(mode=cfg.mode, header=[], rows=[], summary={}, config=cfg)
 
     monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
     cfg = _sweep_cfg()

@@ -60,37 +60,31 @@ def test_dense_spectrum_validation(monkeypatch):
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(DomainError):
         dense_spectrum(skew)
+    assert dense_spectrum(np.zeros((0, 0))).shape == (0,)
     monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 4)
     with pytest.raises(InvalidDimensionError):
         dense_spectrum(np.eye(5))
 
 
-def test_dense_spectrum_diagonal_fast_path_matches_lapack():
-    diag = np.diag(np.array([3.0, -1.0, 2.0, 0.0]))
-    assert np.array_equal(dense_spectrum(diag), np.array([-1.0, 0.0, 2.0, 3.0]))
-    dense = diag + 1e-3 * (np.ones((4, 4)) - np.eye(4))
-    assert np.abs(dense_spectrum(dense) - np.linalg.eigvalsh(dense)).max() == 0.0
-
-
 def test_solver_hands_matvec_c_ordered_blocks():
     # the edge kernel reshapes its input; a Fortran-ordered block would be
     # copied once per edge instead of once per call.  A step applies H to one
-    # vector, the acceptance residuals of gap_report's two targets to a
-    # two-column block.
+    # 1-D vector, the acceptance residuals of the two targets to one
+    # (dim, 2) block.
     p = random_projector(2, 1, master=62)
     spec = ChainSpec(2, 1, 8)
     inner = hamiltonian_matvec(spec, p)
     seen = []
 
     def matvec(x):
-        seen.append((x.shape[1], x.flags.c_contiguous))
+        seen.append((x.shape, x.flags.c_contiguous))
         return inner(x)
 
     thr = default_kernel_threshold(spec.n_terms)
     spectral._lanczos(matvec, spec.dim, RandomSeed(0, 1).generator(substream=1),
                       spectral._ground_and_gap(thr))
     smallest_eig_above(matvec, spec.dim, 1e-8, seed=RandomSeed(0, 1))
-    assert {width for width, _ in seen} == {1, 2}
+    assert {shape for shape, _ in seen} == {(spec.dim,), (spec.dim, 2)}
     assert all(contiguous for _, contiguous in seen)
 
 
@@ -184,23 +178,32 @@ def test_gap_report_single_edge():
 
 
 def test_gap_report_tree_no_edges():
-    rep = gap_report(TreeSpec(3, 1, 2, 1), random_projector(3, 1, master=67))
+    spec, p = TreeSpec(3, 1, 2, 1), random_projector(3, 1, master=67)
+    rep = gap_report(spec, p)
     assert rep.gap is None and rep.frustration_free and rep.ground_energy == 0.0
     assert rep.kernel_dim == rep.dim
+    # the method is checked before the lattice is found to have no edges
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        gap_report(spec, p, method="bogus")
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [ChainSpec(3, r, L) for r in (1, 2) for L in range(3, 7)]
-    + [ChainSpec(4, 2, L) for L in range(3, 6)]
-    + [TreeSpec(3, 1, 2, 2), TreeSpec(3, 1, 3, 2), TreeSpec(4, 1, 3, 2)]
-    + [ChainSpec(2, 2, 3)],  # m = dim: assembled and solved as H, not frustration-free
-    ids=str,
+    "spec,p",
+    [pytest.param(spec, random_projector(spec.d, spec.r, master=68), id=str(spec)) for spec in
+     [ChainSpec(3, r, L) for r in (1, 2) for L in range(3, 7)]
+     + [ChainSpec(4, 2, L) for L in range(3, 6)]
+     + [TreeSpec(3, 1, 2, 2), TreeSpec(3, 1, 3, 2), TreeSpec(4, 1, 3, 2)]
+     + [ChainSpec(2, 2, 3)]]  # m = dim: assembled and solved as H, not frustration-free
+    # a diagonal P: H 1 sorted, equal to the sorted diagonal of H bit for bit
+    + [pytest.param(spec, reference_projector(3, 1), id=f"reference-{spec}")
+       for spec in (ChainSpec(3, 1, 6), TreeSpec(3, 1, 3, 2))],
 )
-def test_dense_levels_match_the_hamiltonian(spec, monkeypatch):
-    p = random_projector(spec.d, spec.r, master=68)
+def test_dense_levels_match_the_hamiltonian(spec, p, monkeypatch):
     levels = spectral._dense_levels(spec, p)
-    exact = dense_spectrum(dense_hamiltonian(spec, p))
+    h = dense_hamiltonian(spec, p)
+    if np.array_equal(p.matrix, np.diag(np.diagonal(p.matrix))):
+        assert np.array_equal(levels, np.sort(np.diagonal(h)))
+    exact = dense_spectrum(h)
     thr = default_kernel_threshold(spec.n_terms)
     assert np.searchsorted(levels, thr, side="right") == np.searchsorted(exact, thr, side="right")
     assert np.abs(levels - exact).max() < 1e-12
@@ -216,9 +219,11 @@ def test_dense_levels_match_the_hamiltonian(spec, monkeypatch):
 
 def test_dense_gap_report_refuses_above_dense_limit():
     # d=4, L=8 would take the Gram route (m = 28672 < dim = 65536), d=2 L=15
-    # the Hamiltonian route; both are refused by the state dimension
-    for spec in (ChainSpec(4, 1, 8), ChainSpec(2, 1, 15)):
-        p = random_projector(spec.d, 1, master=69)
+    # the Hamiltonian route, the diagonal reference P at d=3 L=10 the sorted
+    # H 1; all are refused by the state dimension
+    for spec, p in ((ChainSpec(4, 1, 8), random_projector(4, 1, master=69)),
+                    (ChainSpec(2, 1, 15), random_projector(2, 1, master=69)),
+                    (ChainSpec(3, 1, 10), reference_projector(3, 1))):
         with pytest.raises(InvalidDimensionError, match="dense-assembly limit"):
             gap_report(spec, p, method="dense")
 
@@ -243,14 +248,25 @@ def test_dense_gap_report_solves_the_range_gram(monkeypatch):
 
 
 def test_dense_gap_report_sorts_a_diagonal_hamiltonian(monkeypatch):
-    # the reference projector is diagonal, so is H: no LAPACK round, also at
-    # L=8 where the Gram matrix would be 5103 x 5103
+    # the reference projector is diagonal, so is H: its levels are H 1, sorted.
+    # No LAPACK round, also at L=8 where the Gram matrix would be 5103 x 5103,
+    # and no 6561 x 6561 H (344 MB)
     def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh called")
+        raise AssertionError("dense solve or assembly called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    rep = gap_report(ChainSpec(3, 1, 8), reference_projector(3, 1), method="dense")
+    monkeypatch.setattr(spectral, "dense_hamiltonian", refuse)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        rep = gap_report(ChainSpec(3, 1, 8), reference_projector(3, 1), method="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     assert rep.frustration_free and rep.gap == 1.0
+    assert peak < 5e6
 
 
 def _near_good(seed):
@@ -392,7 +408,6 @@ def test_gap_report_solver_stats():
     assert stats.restarts >= 1
     # Ritz values lie in [0, ||H||] and ||H|| <= n_terms, which bounds the spectral scale
     assert 0.0 < stats.max_residual <= spectral.DEFAULT_RES_RTOL * spec.n_terms
-    assert "solver" not in a.to_json_obj()
     dense = gap_report(spec, p, method="dense")
     assert dense.solver is None
 
@@ -404,17 +419,18 @@ def test_gap_report_solver_stats():
     ids=["chain-haar", "tree-9b-near-good"],
 )
 def test_thick_restart_matches_dense(spec, p):
-    # a cap of 24 forces restarts on these small spaces, for either target rule
+    # a cap of 24 forces restarts on these small spaces, for either target rule:
+    # the lowest Ritz value, and gap_report's rule, whose last target is the gap level
     evals = dense_spectrum(dense_hamiltonian(spec, p))
     thr = default_kernel_threshold(spec.n_terms)
     matvec = hamiltonian_matvec(spec, p)
     rng = RandomSeed(7, 7).generator(substream=1)
     for targets, expected in (
-            (lambda theta: np.array([0]), evals[0]),  # the lowest Ritz value
-            (spectral._above(thr), evals[np.searchsorted(evals, thr, "right")])):
+            (lambda theta: np.array([0]), evals[0]),
+            (spectral._ground_and_gap(thr), evals[np.searchsorted(evals, thr, "right")])):
         stats = spectral.SolverStats()
         theta = spectral._lanczos(matvec, spec.dim, rng, targets, max_basis=24, stats=stats)
-        assert abs(theta[0] - expected) < 1e-8
+        assert abs(theta[-1] - expected) < 1e-8
         assert stats.restarts >= 1
 
 
