@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (overrides the config)")
         p.add_argument("--trials", type=int, help="number of trials (overrides the config)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        p.add_argument("--threads", type=int,
+                       help="worker processes, at most one per available CPU (default 1)")
         p.add_argument("--format", choices=["csv", "json"], help="output format")
         if name == "certify":
             p.add_argument("--projector", help="path to a serialized projector JSON file")

@@ -2,14 +2,17 @@
 
 Every trial's randomness comes solely from (master_seed, trial_index), trials
 are independent, and rows are sorted by trial index before writing.
-`run_experiment` runs numpy's BLAS on one thread and restores the previous
-count when it returns, so the worker pool is a run's only parallelism and no
-result depends on how BLAS splits its work.  Output files are therefore a pure
-function of the configuration: re-running with any worker count and any
-``OPENBLAS_NUM_THREADS`` reproduces them byte for byte.  The pin needs an
-OpenBLAS build of numpy (the bundled one is); with another BLAS the run is left
-unpinned.  Per-row wall time is measured for console reporting but
-deliberately kept out of the files for the same reason.
+With ``threads > 1`` the trials (or event chunks, or cap-table cells) run in
+forked worker processes, at most one per CPU the process may run on (see
+`_map_indexed`).  `run_experiment` runs numpy's BLAS on one thread, in the
+workers too, and restores the previous count when it returns, so the worker
+processes are a run's only parallelism and no result depends on how BLAS splits
+its work.  Output files are therefore a pure function of the configuration:
+re-running with any worker count and any ``OPENBLAS_NUM_THREADS`` reproduces
+them byte for byte.  The pin needs an OpenBLAS build of numpy (the bundled one
+is); with another BLAS the run is left unpinned.  Per-row wall time is measured
+for console reporting but deliberately kept out of the files for the same
+reason.
 
 Each mode's configuration keys are declared once, in `_KEYS`.  `load_config`
 also builds the run's lattices, so a lattice too large for the run is refused
@@ -27,10 +30,10 @@ import ctypes
 import functools
 import json
 import math
+import os
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -434,22 +437,50 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     return (lo, hi)
 
 
+# The worker of the pool this process serves.  `_serve` sets it in each forked
+# pool process before the process takes its first item; the parent never sets
+# it, so concurrent runs in one process do not share it.
+_served: Callable | None = None
+
+
+def _serve(worker: Callable) -> None:
+    global _served
+    _served = worker
+
+
+def _call_served(i: int):
+    return _served(i)
+
+
 def _map_indexed(worker, count: int, threads: int) -> list:
     """Run worker(i) for i in range(count); results ordered by index.
 
-    Work is distributed over a thread pool; every worker draws its randomness
-    from its own index, so scheduling cannot affect the results.
+    The items run in min(threads, count, CPUs this process may run on) worker
+    processes; with one, they run here in order.  The processes are forked,
+    so they receive `worker` (a closure) through the pool's initializer
+    without pickling it, and they inherit the one-BLAS-thread pin of
+    `run_experiment`.  Their results come back pickled.  Every worker draws
+    its randomness from its own index, so neither scheduling nor the number
+    of processes can affect the results.  An exception from `worker` reaches
+    the caller with its type and message once the pool has shut down; no
+    process outlives the call.  A fork copies only the calling thread: a lock
+    that another thread holds at that moment stays held in the workers, which
+    take no lock of this package.  Python 3.12+ issues a DeprecationWarning at
+    a fork while other threads of the process, such as OpenBLAS's, are alive;
+    3.11 forks silently.  Worker processes need ``fork`` and
+    ``os.sched_getaffinity`` (Linux); the serial path needs neither.
     """
-    if count == 0:
-        return []
-    if threads <= 1:
+    workers = min(threads, count)
+    if workers > 1:
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers <= 1:
         return [worker(i) for i in range(count)]
-    out = {}
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = {ex.submit(worker, i): i for i in range(count)}
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return [out[i] for i in range(count)]
+    import multiprocessing  # here: a serial run needs neither, and every process start would pay
+    from concurrent.futures import process
+
+    with process.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_serve, initargs=(worker,)) as pool:
+        return list(pool.map(_call_served, range(count)))
 
 
 def _error_row(trial: int, cfg: ExperimentConfig, exc: Exception) -> ResultRow:

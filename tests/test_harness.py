@@ -1,7 +1,10 @@
 """Experiment harness: config validation, determinism, crash isolation, CLI."""
 
+import concurrent.futures.process
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -147,24 +150,30 @@ def test_sweep_rows_per_length():
     assert [r.L for r in result.rows] == [4, 5, 6, 4, 5, 6]
 
 
-def test_crash_isolation(monkeypatch):
-    calls = {"n": 0}
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let a run use two worker processes even on a one-CPU host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_crash_isolation(monkeypatch, two_cpus):
+    # keyed on the trial's seed: a counter here would not be shared with worker processes
     real = harness.certify
 
     def flaky(p, k_list=()):
-        calls["n"] += 1
-        if calls["n"] == 2:
+        if p.seed.stream_index == 1:
             raise RuntimeError("synthetic trial failure, with a comma")
         return real(p, k_list)
 
     monkeypatch.setattr(harness, "certify", flaky)
-    result = run_experiment(_sweep_cfg(trials=4))
-    errors = [r for r in result.rows if r.status == "error"]
-    assert len(errors) == 1
-    assert "synthetic trial failure" in errors[0].error
-    assert result.exit_code == 2
-    assert result.summary["failed_rows"] == 1
-    assert result.summary["completed_rows"] == 3
+    for threads in (1, 2):
+        result = run_experiment(_sweep_cfg(trials=4, threads=threads))
+        errors = [r for r in result.rows if r.status == "error"]
+        assert [r.trial for r in errors] == [1]
+        assert "synthetic trial failure" in errors[0].error
+        assert result.exit_code == 2
+        assert result.summary["failed_rows"] == 1
+        assert result.summary["completed_rows"] == 3
     # a comma in the error message must not break the CSV row structure
     import csv
     import io
@@ -172,6 +181,55 @@ def test_crash_isolation(monkeypatch):
     data_lines = [l for l in result.render().splitlines() if not l.startswith("#")]
     parsed = list(csv.reader(io.StringIO("\n".join(data_lines))))
     assert all(len(row) == len(parsed[0]) for row in parsed)
+
+
+def test_worker_process_exception_reaches_the_caller(monkeypatch, two_cpus):
+    # cap-table cells are not crash-isolated: a failing cell fails the run
+    real = harness.capgeom.cap_measure_exact
+
+    def failing(q):
+        if q.n == 3:
+            raise ValueError("synthetic cell failure")
+        return real(q)
+
+    monkeypatch.setattr(harness.capgeom, "cap_measure_exact", failing)
+    cfg = load_config({"mode": "cap-table", "n_list": [1, 3, 5], "delta_list": [0.2, 0.5],
+                       "mc_samples": 0, "threads": 2})
+    with pytest.raises(ValueError, match="synthetic cell failure"):
+        run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+
+class _InlinePool:
+    """Stands in for the process pool: records its size, runs the items here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus", [3, 8])
+def test_pool_size_is_capped_by_items_and_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(harness, "_served", None)  # the inline initializer sets it here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert harness._map_indexed(lambda i: i * i, 5, 10_000) == [0, 1, 4, 9, 16]
+    assert _InlinePool.sizes == [min(5, cpus)]
+    # one item: the serial path, no pool
+    assert harness._map_indexed(lambda i: i + 7, 1, 4) == [7]
+    assert _InlinePool.sizes == [min(5, cpus)]
 
 
 def test_render_deterministic_across_threads():
@@ -339,6 +397,39 @@ def test_concurrent_runs_share_one_pin(monkeypatch):
         set_(original)
 
 
+def test_concurrent_runs_with_worker_processes(two_cpus):
+    # runs in several threads of one process, each forking its own pool, give
+    # the bytes of serial runs
+    want = {seed: run_experiment(_sweep_cfg(master_seed=seed)).render() for seed in range(8)}
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        futures = {seed: ex.submit(run_experiment, _sweep_cfg(master_seed=seed, threads=2))
+                   for seed in range(8)}
+        got = {seed: fut.result(timeout=60).render() for seed, fut in futures.items()}
+    assert got == want
+    assert multiprocessing.active_children() == []
+
+
+@_needs_openblas
+def test_worker_processes_run_one_blas_thread(monkeypatch, two_cpus):
+    get, set_ = harness._blas_threads()
+    original = get()
+
+    def runner(cfg):
+        counts = harness._map_indexed(lambda i: (os.getpid(), harness._blas_threads()[0]()),
+                                      4, cfg.threads)
+        return harness.RunResult(mode=cfg.mode, header=[], rows=counts, summary={}, config=cfg)
+
+    monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
+    try:
+        set_(2)
+        rows = run_experiment(_sweep_cfg(threads=2)).rows
+        assert [count for _, count in rows] == [1, 1, 1, 1]
+        assert os.getpid() not in {pid for pid, _ in rows}
+        assert get() == 2
+    finally:
+        set_(original)
+
+
 def test_wilson_interval_sanity():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi < 0.05
@@ -460,10 +551,12 @@ def test_cli_cap_table_defaults(tmp_path):
 
 
 def test_import_and_load_config_stay_numpy_only():
-    # importing scipy costs a fresh process about a quarter second; the runtime is numpy only
+    # importing scipy costs a fresh process about a quarter second; the runtime is numpy only.
+    # The process pool's modules are imported by the first run that uses it.
     code = ("import json, sys; import gapcert, gapcert.harness; "
             "gapcert.harness.load_config(json.loads(sys.argv[1])); "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
+            "or m in ('multiprocessing', 'concurrent.futures.process')))")
     cfg = {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 3, "family": "near-good",
            "epsilon": 1.0 / 18.0, "gap_method": "iterative"}
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)],

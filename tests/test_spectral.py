@@ -10,6 +10,7 @@ from gapcert import (
     ChainSpec,
     DomainError,
     InvalidDimensionError,
+    LocalProjector,
     RandomSeed,
     SolverConvergenceError,
     TreeSpec,
@@ -185,6 +186,16 @@ def test_gap_report_tree_no_edges():
     # the method is checked before the lattice is found to have no edges
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         gap_report(spec, p, method="bogus")
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_gap_report_no_level_above_the_floor(method):
+    # H = I: every level is the ground, so there is no gap to report; the
+    # iterative basis spans the 4 states and its Ritz values are exact
+    rep = gap_report(ChainSpec(2, 4, 2), LocalProjector(2, 4, np.eye(4)), method=method)
+    assert rep.ground_energy == pytest.approx(1.0, abs=1e-12)
+    assert rep.gap is None and not rep.frustration_free and rep.kernel_dim == 0
+    assert rep.method == method
 
 
 @pytest.mark.parametrize(
