@@ -11,15 +11,21 @@ and turns the effective local gap max(gamma_loc, 1 - c) into lower bounds on
 the gap of arbitrarily long chains (gamma_L >= 2*(gamma_loc - 1/2) for
 gamma_loc <= 1, else >= 1, any L >= 4) and of k-ary trees
 (gamma >= 2k*(gamma_loc - 1 + 1/(2k))).  The local gap always dominates 1 - c,
-so a coupling norm below 1/2 (resp. 1/(2k)) certifies a gap.
+so a coupling norm below 1/2 (resp. 1/(2k)) certifies a gap.  The chain
+criterion bounds the gap above a zero ground energy, so a chain bound needs
+r <= max_ff_rank(d, "chain"); `certify` refuses a larger rank.
 
-Two edges overlap in one of two geometries:
+Two edges overlap in one of two geometries, each taken from the smallest
+lattice of the edge-list model (`gapcert.model`) that has it, with each edge
+term assembled as the Hamiltonian assembles it:
 
-* path, P_12 + P_23: the shared site is the second tensor factor of one edge
-  and the first of the other.  These are the only overlaps on a chain; on a
-  tree they join a vertex's parent edge to one of its child edges.
-* sibling, P_{v,c1} + P_{v,c2}: two child edges of one parent v, with the
-  first tensor factor on v in both terms.  Only trees with k >= 2 have them.
+* path, P_01 + P_12 on the 3-site chain ChainSpec(d, r, 3): the shared site
+  is the second tensor factor of one edge and the first of the other.  These
+  are the only overlaps on a chain; on a tree they join a vertex's parent
+  edge to one of its child edges.
+* sibling, P_01 + P_02 on the 3-vertex star TreeSpec(d, r, 2, 2): two child
+  edges of one parent, with the first tensor factor on the parent in both
+  terms.  Only trees with k >= 2 have them.
 
 A tree bound must hold for every overlap, so for k >= 2 it is evaluated on the
 smaller of the two effective local gaps; k = 1 is the chain and uses the path
@@ -61,11 +67,12 @@ from .errors import (
     SolverConvergenceError,
 )
 from .haar import OrthonormalFamily, RandomSeed
-from .model import LocalProjector, reference_targets
+from .model import ChainSpec, LocalProjector, TreeSpec, _edge_dense, max_ff_rank, reference_targets
 from .spectral import dense_spectrum, default_kernel_threshold
 
 MEET_EIGTOL = 1e-8
 _PROJ_TOL = 1e-10
+_RETRIES = 20  # scale halvings of construct_near_good
 
 
 def _check_projector_matrix(q: np.ndarray, name: str) -> np.ndarray:
@@ -79,10 +86,10 @@ def _check_projector_matrix(q: np.ndarray, name: str) -> np.ndarray:
     return q
 
 
-def meet(q1: np.ndarray, q2: np.ndarray, tol: float = MEET_EIGTOL) -> np.ndarray:
+def meet(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto ran(q1) & ran(q2).
 
-    Computed as the eigenspace of q1 + q2 with eigenvalues within `tol` of 2
+    Computed as the eigenspace of q1 + q2 with eigenvalues within MEET_EIGTOL of 2
     (the sum reaches 2 exactly on common range vectors and stays strictly below
     elsewhere).  `meet_von_neumann` provides an independent cross-check.
     """
@@ -91,7 +98,7 @@ def meet(q1: np.ndarray, q2: np.ndarray, tol: float = MEET_EIGTOL) -> np.ndarray
     if q1.shape != q2.shape:
         raise NotAProjectorError(f"shape mismatch: {q1.shape} vs {q2.shape}")
     w, u = np.linalg.eigh(q1 + q2)
-    sel = w >= 2.0 - tol
+    sel = w >= 2.0 - MEET_EIGTOL
     if not sel.any():
         return np.zeros_like(q1)
     us = u[:, sel]
@@ -99,9 +106,7 @@ def meet(q1: np.ndarray, q2: np.ndarray, tol: float = MEET_EIGTOL) -> np.ndarray
     return 0.5 * (m + m.T)
 
 
-def meet_von_neumann(
-    q1: np.ndarray, q2: np.ndarray, tol: float = 1e-10, max_squarings: int = 200
-) -> np.ndarray:
+def meet_von_neumann(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Meet via the power limit of q1 q2, used as an oracle for `meet`.
 
     The powers are walked by repeated squaring, so small principal angles
@@ -110,54 +115,44 @@ def meet_von_neumann(
     q1 = _check_projector_matrix(q1, "q1")
     q2 = _check_projector_matrix(q2, "q2")
     a = q1 @ q2
-    for _ in range(max_squarings):
+    for _ in range(200):
         nxt = a @ a
-        if np.linalg.norm(nxt - a) < tol:
+        if np.linalg.norm(nxt - a) < 1e-10:
             return nxt
         a = nxt
     raise SolverConvergenceError("projector power iteration did not converge")
 
 
-GEOMETRIES = ("path", "sibling")
+#: the smallest lattice of each overlap geometry, whose two edges share one site
+_OVERLAP_LATTICES = {
+    "path": lambda d, r: ChainSpec(d, r, 3),  # edges (0, 1), (1, 2)
+    "sibling": lambda d, r: TreeSpec(d, r, 2, 2),  # edges (0, 1), (0, 2)
+}
 
 
-def _three_site_factors(
-    P: LocalProjector, geometry: str = "path"
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two overlapping edge terms of `geometry` on the three-site space.
-
-    "path" places P on sites (1, 2) and (2, 3); "sibling" places it on (1, 2)
-    and (1, 3), with the first tensor factor on site 1 (the parent) in both.
-    """
-    eye = np.eye(P.d)
-    p12 = np.kron(P.matrix, eye)
-    if geometry == "path":
-        return p12, np.kron(eye, P.matrix)
-    if geometry == "sibling":
-        d = P.d
-        swap = np.arange(d**3).reshape(d, d, d).transpose(0, 2, 1).ravel()
-        return p12, p12[np.ix_(swap, swap)]
-    raise DomainError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
-
-
-def coupling_norm(P: LocalProjector, tol: float = MEET_EIGTOL, geometry: str = "path") -> float:
-    """Operator norm of Q1 Q2 - Q1 ^ Q2 for the edge pair of `geometry`."""
-    q1, q2 = _three_site_factors(P, geometry)
-    m = meet(q1, q2, tol=tol)
-    return float(np.linalg.norm(q1 @ q2 - m, 2))
-
-
-def local_gap(
-    P: LocalProjector, kernel_threshold: float | None = None, geometry: str = "path"
-) -> float:
-    """Smallest strictly positive eigenvalue of Q1 + Q2 (dense, d^3 space)."""
-    q1, q2 = _three_site_factors(P, geometry)
+def _overlap(P: LocalProjector, geometry: str) -> tuple[np.ndarray, float, float]:
+    """Meet, coupling norm and local gap of the two edge terms of `geometry`,
+    P on each edge of the geometry's lattice, assembled as the Hamiltonian is."""
+    if geometry not in _OVERLAP_LATTICES:
+        raise DomainError(f"geometry must be one of {tuple(_OVERLAP_LATTICES)}, got {geometry!r}")
+    spec = _OVERLAP_LATTICES[geometry](P.d, P.r)
+    q1, q2 = (_edge_dense(P, spec.sites, [edge]) for edge in spec.edges)
+    m = meet(q1, q2)
     evals = dense_spectrum(q1 + q2)
-    thr = default_kernel_threshold(2) if kernel_threshold is None else kernel_threshold
-    above = evals[evals > thr]
+    above = evals[evals > default_kernel_threshold(2)]
     if above.size == 0:
         raise SolverConvergenceError("three-site operator has no eigenvalue above the threshold")
-    return float(above[0])
+    return m, float(np.linalg.norm(q1 @ q2 - m, 2)), float(above[0])
+
+
+def coupling_norm(P: LocalProjector, geometry: str = "path") -> float:
+    """Operator norm of Q1 Q2 - Q1 ^ Q2 for the edge pair of `geometry`."""
+    return _overlap(P, geometry)[1]
+
+
+def local_gap(P: LocalProjector, geometry: str = "path") -> float:
+    """Smallest strictly positive eigenvalue of Q1 + Q2 (dense, d^3 space)."""
+    return _overlap(P, geometry)[2]
 
 
 def chain_bound(gamma_loc: float) -> float:
@@ -264,20 +259,21 @@ def certify(P: LocalProjector, k_list: tuple[int, ...] = ()) -> Certificate:
     length L >= 4 at once.  Tree bounds for k >= 2 use the smaller of the path
     and sibling effective local gaps, since a k-ary tree has both overlaps (see
     the module docstring); the sibling data are computed and recorded only when
-    such a k is requested, and are None otherwise.
+    such a k is requested, and are None otherwise.  Each geometry's edge pair
+    is built once.  Raises DomainError for a rank above
+    max_ff_rank(d, "chain"), where the chain criterion does not apply.
     """
-    p12, p23 = _three_site_factors(P)
-    m = meet(p12, p23)
-    c = float(np.linalg.norm(p12 @ p23 - m, 2))
-    g_loc = local_gap(P)
+    if P.r > max_ff_rank(P.d, "chain"):
+        raise DomainError(f"the chain criterion needs a frustration-free rank r <= "
+                          f"{max_ff_rank(P.d, 'chain')} for d={P.d}, got r={P.r}")
+    m, c, g_loc = _overlap(P, "path")
     g_lb = 1.0 - c
     best = max(g_loc, g_lb)
     cb = chain_bound(best)
     c_sib = g_sib = None
     tree_best = best
     if any(int(k) >= 2 for k in k_list):
-        c_sib = coupling_norm(P, geometry="sibling")
-        g_sib = local_gap(P, geometry="sibling")
+        _, c_sib, g_sib = _overlap(P, "sibling")
         tree_best = min(best, max(g_sib, 1.0 - c_sib))
     tb = {int(k): tree_bound(best if int(k) == 1 else tree_best, int(k)) for k in k_list}
     return Certificate(
@@ -300,9 +296,7 @@ def certify(P: LocalProjector, k_list: tuple[int, ...] = ()) -> Certificate:
     )
 
 
-def construct_near_good(
-    d: int, r: int, epsilon: float, seed: RandomSeed, max_retries: int = 20
-) -> OrthonormalFamily:
+def construct_near_good(d: int, r: int, epsilon: float, seed: RandomSeed) -> OrthonormalFamily:
     """Orthonormal family within distance `epsilon` of the reference targets.
 
     Perturbs each target vector by a scaled random direction (initial scale
@@ -318,7 +312,7 @@ def construct_near_good(
     targets = reference_targets(d, r).T
     rng = seed.generator()
     scale = 0.9 * epsilon
-    for _ in range(max_retries):
+    for _ in range(_RETRIES):
         noise = rng.standard_normal((d2, r))
         noise /= np.linalg.norm(noise, axis=0)
         q, rr = np.linalg.qr(targets + scale * noise)
@@ -328,7 +322,7 @@ def construct_near_good(
             return OrthonormalFamily(d=d, r=r, vectors=q.T.copy(), seed=seed)
         scale *= 0.5
     raise ConstructionError(
-        f"could not place the family within {epsilon} of the targets after {max_retries} retries"
+        f"could not place the family within {epsilon} of the targets after {_RETRIES} retries"
     )
 
 

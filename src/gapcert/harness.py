@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import os
+import sys
 import threading
 import time
 from collections.abc import Callable
@@ -98,6 +99,9 @@ def _list(item, what: str, default, nonempty=True, convert=tuple) -> _Key:
 
 
 _NUMBER = _Key(_is_number, "be a number", None, float)
+# NaN fails every comparison; an integer above the largest float is refused before float()
+_POSITIVE = _Key(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+                 "be a finite number > 0", None, float)
 _COMMON_KEYS = {
     "master_seed": _int(0, 2**64 - 1, default=0), "trials": _int(0, default=0),
     "threads": _int(1, default=1), "out": _Key(lambda v: isinstance(v, str), "be a string path"),
@@ -105,7 +109,7 @@ _COMMON_KEYS = {
 }
 _SITE_KEYS = {"d": _int(2, default=_REQUIRED), "r": _int(1, default=_REQUIRED)}
 _GAP_KEYS = {"gap_method": _choice("auto", "dense", "iterative", default="auto"),
-             "kernel_threshold": _NUMBER}
+             "kernel_threshold": _POSITIVE}
 _KEYS = {
     "gap-sweep": {
         **_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
@@ -232,6 +236,11 @@ def _lattice(cls, *args) -> ChainSpec | TreeSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _require_chain_rank(d: int, r: int):
+    bound = max_ff_rank(d, "chain")
+    _require(r <= bound, f"r={r} exceeds the frustration-free rank bound {bound} for d={d}")
+
+
 def _read_projector(path: str) -> LocalProjector:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -275,9 +284,7 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
     d, r = cfg.d, cfg.r
 
     if cfg_mode == "gap-sweep":
-        _require(r <= max_ff_rank(d, "chain"),
-                 f"r={r} exceeds the frustration-free rank bound "
-                 f"{max_ff_rank(d, 'chain')} for d={d}")
+        _require_chain_rank(d, r)
         _require(not ("L" in obj and "L_range" in obj), "give either 'L' or 'L_range', not both")
         if L_range is not None:
             lo, hi = L_range
@@ -295,7 +302,7 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
         _require(r < d, f"event-frequency requires r < d, got r={r}, d={d}")
 
     elif cfg_mode == "tree-gap":
-        _require(r < d / cfg.k,
+        _require(r <= max_ff_rank(d, "tree", cfg.k),
                  f"tree frustration-freeness requires r < d/k, got r={r}, d={d}, k={cfg.k}")
         if cfg.family == "near-good":
             _require(cfg.epsilon is not None, "near-good family requires 'epsilon'")
@@ -307,9 +314,10 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
         if cfg.projector is None:
             _require(d is not None, "missing required key 'd'")
             _require(r is not None, "missing required key 'r'")
-            _require(r <= d**2, f"rank r={r} exceeds d^2={d**2}")
+            _require_chain_rank(d, r)
         else:
             cfg.loaded_projector = _read_projector(cfg.projector)
+            _require_chain_rank(cfg.loaded_projector.d, cfg.loaded_projector.r)
 
     if cfg.gap_method != "iterative":
         largest = max((spec.dim for spec in cfg.lattices), default=0)
@@ -424,10 +432,11 @@ def render_json(result: RunResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
+    z = _WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom

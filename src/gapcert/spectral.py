@@ -199,8 +199,7 @@ def _ground_and_gap(threshold: float):
     return targets
 
 
-def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
-             res_rtol: float = DEFAULT_RES_RTOL, max_iter: int = 3000,
+def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: int = 3000,
              max_basis: int = _MAX_BASIS, stats: SolverStats | None = None) -> np.ndarray:
     """Thick-restart Lanczos with full reorthogonalization, from a random start.
 
@@ -280,7 +279,7 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *,
             theta, y = np.linalg.eigh(T[:n, :n], UPLO="L")
             want = targets(theta)
             found = want[want < n]
-            tol = res_rtol * max(1.0, float(np.abs(theta).max()))
+            tol = DEFAULT_RES_RTOL * max(1.0, float(np.abs(theta).max()))
             estimate = np.abs(T[n, lo:n] @ y[lo:n, found])
             if spanned or (found.size == want.size and np.all(estimate <= tol)):
                 x = V[:n].T @ y[:, found]
@@ -317,8 +316,6 @@ def smallest_eig_above(
     threshold: float,
     *,
     seed: RandomSeed | None = None,
-    res_rtol: float = DEFAULT_RES_RTOL,
-    max_iter: int = 3000,
 ) -> float | None:
     """Smallest eigenvalue strictly above `threshold` of a symmetric PSD operator.
 
@@ -331,8 +328,7 @@ def smallest_eig_above(
     without an eigenvalue above the threshold, as for a zero operator.
     """
     rng = (seed or RandomSeed()).generator(substream=2)
-    theta = _lanczos(matvec, dim, rng, _ground_and_gap(threshold),
-                     res_rtol=res_rtol, max_iter=max_iter)
+    theta = _lanczos(matvec, dim, rng, _ground_and_gap(threshold))
     above = theta[theta > threshold]
     return float(above[0]) if above.size else None
 
@@ -344,7 +340,6 @@ def gap_report(
     method: str = "auto",
     kernel_threshold: float | None = None,
     seed: RandomSeed | None = None,
-    res_rtol: float = DEFAULT_RES_RTOL,
 ) -> SpectralReport:
     """Ground energy, kernel dimension, and spectral gap of one Hamiltonian.
 
@@ -386,7 +381,7 @@ def gap_report(
         rng = (seed or RandomSeed()).generator(substream=1)
         stats = SolverStats()
         theta = _lanczos(hamiltonian_matvec(spec, P), dim, rng, _ground_and_gap(thr),
-                         res_rtol=res_rtol, stats=stats)
+                         stats=stats)
         kd = None
     ground = float(theta[0])
     ff = ground <= thr

@@ -30,6 +30,7 @@ from gapcert import (
     sample_family,
     tree_bound,
 )
+from gapcert import certificate
 from conftest import random_projector, random_projector_matrix
 
 
@@ -117,6 +118,72 @@ def test_coupling_norm_triangle_inequality():
         m = meet(p12, p23)
         c = coupling_norm(p)
         assert c <= np.linalg.norm(p12 @ p23, 2) + np.linalg.norm(m, 2) + 1e-12
+
+
+def _kron_terms(P, geometry):
+    """The two edge terms as Kronecker products (test oracle): P on sites (0, 1)
+    and (1, 2), or (0, 1) and (0, 2) as the (0, 2, 1) site permutation of the first."""
+    d, eye = P.d, np.eye(P.d)
+    p01 = np.kron(P.matrix, eye)
+    if geometry == "path":
+        return p01, np.kron(eye, P.matrix)
+    swap = np.arange(d**3).reshape(d, d, d).transpose(0, 2, 1).ravel()
+    return p01, p01[np.ix_(swap, swap)]
+
+
+@pytest.fixture
+def built_terms(monkeypatch):
+    """Every edge term the certificate assembles, in order."""
+    built, real = [], certificate._edge_dense
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(certificate, "_edge_dense", spy)
+    return built
+
+
+@pytest.mark.parametrize("geometry", ["path", "sibling"])
+@pytest.mark.parametrize("d,r,master", [(3, 1, 110), (3, 2, 111), (4, 3, 112), (2, 1, 113)])
+def test_overlap_terms_equal_the_kron_construction(built_terms, geometry, d, r, master):
+    for p in (random_projector(d, r, master), reference_projector(d, 1)):
+        built_terms.clear()
+        coupling_norm(p, geometry=geometry)
+        assert len(built_terms) == 2
+        for got, want in zip(built_terms, _kron_terms(p, geometry)):
+            assert np.array_equal(got, want)
+
+
+def test_certify_builds_each_pair_once(built_terms):
+    p = random_projector(3, 1, master=114)
+    path, sibling = _kron_terms(p, "path"), _kron_terms(p, "sibling")
+    for k_list, want in (((), path), ((1,), path), ((1, 2, 3), path + sibling)):
+        built_terms.clear()
+        certify(p, k_list=k_list)
+        assert len(built_terms) == len(want)
+        assert all(np.array_equal(got, w) for got, w in zip(built_terms, want))
+
+
+@pytest.mark.parametrize("p", [random_projector(3, 1, 115), random_projector(3, 2, 116),
+                               random_projector(4, 3, 117), reference_projector(3, 1)],
+                         ids=["haar-3-1", "haar-3-2", "haar-4-3", "reference-3-1"])
+def test_local_gap_is_the_gap_of_the_overlap_lattice(p):
+    # the certificate's three-site data and the spectral module agree on the
+    # 3-site chain and the 3-vertex star
+    for geometry, spec in (("path", ChainSpec(p.d, p.r, 3)),
+                           ("sibling", TreeSpec(p.d, p.r, 2, 2))):
+        gap = gap_report(spec, p, method="dense").gap
+        assert abs(local_gap(p, geometry=geometry) - gap) < 1e-12
+
+
+def test_certify_refuses_ranks_above_the_chain_bound():
+    # d=2, r=3 chains are frustrated: this sample's exact gaps are 0.290 (L=5)
+    # and 0.298 (L=7), below the 0.428 a chain bound would print
+    p = projector_from_family(sample_family(2, 3, RandomSeed(77, 265)))
+    with pytest.raises(DomainError, match="frustration-free rank"):
+        certify(p)
+    assert certify(random_projector(2, 1, master=118)).d == 2  # r=1 is within the bound
 
 
 def test_local_gap_reference_model():

@@ -13,9 +13,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import gapcert.harness as harness
-from gapcert import ConfigError, reference_projector
+from gapcert import (
+    ConfigError,
+    RandomSeed,
+    projector_from_family,
+    reference_projector,
+    sample_family,
+)
 from gapcert.harness import (
     load_config,
+    load_config_file,
     run_cap_table,
     run_certify_one,
     run_event_frequency,
@@ -54,6 +61,48 @@ def test_rank_bound_enforced_for_sweep():
 def test_tree_rank_bound_enforced():
     with pytest.raises(ConfigError, match="r < d/k"):
         load_config({"mode": "tree-gap", "d": 3, "r": 2, "k": 2, "L": 2})
+    for d in range(2, 10):
+        for k in range(2, 5):
+            for r in range(1, d + 1):
+                obj = {"mode": "tree-gap", "d": d, "r": r, "k": k, "L": 1}
+                if r < d / k:
+                    assert load_config(obj).r == r
+                else:
+                    with pytest.raises(ConfigError, match="r < d/k"):
+                        load_config(obj)
+
+
+# d=2 chains are frustration-free only at r=1; this r=3 sample would print a
+# chain bound of 0.428 above its exact gaps 0.290 (L=5) and 0.298 (L=7)
+_FRUSTRATED = {"mode": "certify-one", "d": 2, "r": 3, "master_seed": 77, "stream_index": 265}
+
+
+def test_certify_one_refuses_ranks_above_the_chain_bound(tmp_path):
+    with pytest.raises(ConfigError, match="frustration-free rank bound 1 for d=2"):
+        load_config(_FRUSTRATED)
+    path = tmp_path / "frustrated.json"
+    seed = RandomSeed(_FRUSTRATED["master_seed"], _FRUSTRATED["stream_index"])
+    path.write_text(projector_from_family(sample_family(2, 3, seed)).to_json())
+    with pytest.raises(ConfigError, match="frustration-free rank bound 1 for d=2"):
+        load_config({"mode": "certify-one", "projector": str(path)})
+    assert load_config(dict(_FRUSTRATED, r=1)).r == 1
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 0, math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="int-1e400")])
+def test_kernel_threshold_must_be_finite_and_positive(value):
+    with pytest.raises(ConfigError, match="finite number > 0"):
+        load_config({"mode": "gap-sweep", "d": 3, "r": 1, "L": [4], "kernel_threshold": value})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_kernel_threshold_json_tokens_refused(tmp_path, token):
+    # json.load accepts these tokens as floats
+    path = tmp_path / "cfg.json"
+    path.write_text('{"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 2, '
+                    f'"kernel_threshold": {token}}}')
+    with pytest.raises(ConfigError, match="finite number > 0"):
+        load_config_file(str(path))
 
 
 def test_event_epsilon_window():
@@ -474,6 +523,15 @@ def test_cli_unreadable_inputs_are_config_errors(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("configuration error: ")
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_certify_refuses_ranks_above_the_chain_bound(tmp_path):
+    cfg = tmp_path / "frustrated.json"
+    cfg.write_text(json.dumps(_FRUSTRATED))
+    proc = _run_cli(["certify", "--config", str(cfg)], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: ")
+    assert "frustration-free rank bound" in proc.stderr
 
 
 @pytest.mark.parametrize("rank", ["1.7", "true"])
