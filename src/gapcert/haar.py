@@ -3,7 +3,18 @@
 Sampling recipe: fill an n x n matrix with i.i.d. standard normals, take its QR
 factorization, and flip column signs so the triangular factor has a nonnegative
 diagonal.  The sign fix is required: without it the QR output is not uniform on
-the orthogonal group.
+the orthogonal group (Mezzadri, Notices AMS 54, 592, 2007).
+
+A family keeps only the first r columns.  Householder reflector k of a QR
+touches columns k and later only, so the first r columns of the orthogonal
+factor, and the first r diagonal entries of the triangular one, depend on the
+first r Gaussian columns alone.  A family is therefore the sign-fixed Q of the
+thin QR of those n x r columns: the same Haar (uniform Stiefel) sample, at a
+fraction of the cost.  The full n x n Gaussian is still drawn, so each trial
+consumes the same stream.  At r = 1 the vector is bit-identical to the first
+column of the full QR (LAPACK builds it from reflector 1 alone), and so is the
+whole family at r = n; in between the two differ by rounding, a few ulps
+times the condition number of the kept columns.
 
 Randomness is counter based.  Every sample is drawn from a Philox-4x64 stream
 keyed by ``(master_seed, stream_index)``, so a given seed pair always yields a
@@ -102,12 +113,8 @@ def _qr_orthogonal(a: np.ndarray) -> np.ndarray:
 
 def sample_family(d: int, r: int, seed: RandomSeed) -> OrthonormalFamily:
     """Sample a random orthonormal family: the first r columns of a Haar O(d^2) matrix."""
-    if d < 2:
-        raise InvalidDimensionError(f"local dimension must be >= 2, got {d}")
-    if not (1 <= r <= d**2):
-        raise InvalidRankError(f"rank must satisfy 1 <= r <= d^2, got r={r}, d={d}")
-    o = haar_orthogonal(d**2, seed)
-    return OrthonormalFamily(d=d, r=r, vectors=o[:, :r].T.copy(), seed=seed)
+    vectors = sample_family_batch(d, r, seed.master_seed, seed.stream_index, 1)[0]
+    return OrthonormalFamily(d=d, r=r, vectors=vectors, seed=seed)
 
 
 def sample_sphere(n: int, count: int, seed: RandomSeed) -> np.ndarray:
@@ -128,26 +135,31 @@ def sample_sphere(n: int, count: int, seed: RandomSeed) -> np.ndarray:
 def sample_family_batch(d: int, r: int, master_seed: int, start: int, count: int) -> np.ndarray:
     """Vectors of ``sample_family(d, r, RandomSeed(master_seed, t))`` for a trial range.
 
-    Returns an array of shape (count, r, d**2), bit-identical to looping over
-    ``sample_family`` one trial at a time (stream indices start .. start+count-1).
-    One Philox generator is re-keyed for each trial, the per-trial Gaussian
-    draws are collected first, and the full QR factorizations run as one
-    stacked LAPACK call, which is considerably faster.
+    Returns an array of shape (count, r, d**2): row i is the family of stream
+    index ``start + i``.  One Philox generator is re-keyed in place for each
+    trial and draws that trial's n x n Gaussian; the thin QR factorizations of
+    the kept columns then run as one stacked LAPACK call.
     """
-    n = d**2
+    if d < 2:
+        raise InvalidDimensionError(f"local dimension must be >= 2, got {d}")
+    if not (1 <= r <= d**2):
+        raise InvalidRankError(f"rank must satisfy 1 <= r <= d^2, got r={r}, d={d}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count:
-        RandomSeed(master_seed, start)  # refuses a range outside the 64-bit stream indices
-        RandomSeed(master_seed, start + count - 1)
+    if not (0 <= master_seed < 2**64 and 0 <= start <= 2**64 - max(count, 1)):
+        raise ValueError(f"master_seed and stream indices must be 64-bit unsigned integers, "
+                         f"got master_seed={master_seed}, start={start}, count={count}")
+    n = d**2
+    key = np.array([master_seed, 0], dtype=_U64)
+    empty = np.zeros(4, dtype=_U64)
+    state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
+             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bg = np.random.Philox(key=0)
     gen = np.random.Generator(bg)
-    empty = np.zeros(4, dtype=_U64)
     gauss = np.empty((count, n, n))
     for i in range(count):
-        bg.state = {"bit_generator": "Philox",
-                    "state": {"counter": empty, "key": np.array([master_seed, start + i], dtype=_U64)},
-                    "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        gauss[i] = gen.standard_normal((n, n))
-    q = _qr_orthogonal(gauss)
-    return np.swapaxes(q[:, :, :r], 1, 2).copy()
+        key[1] = start + i
+        bg.state = state
+        gen.standard_normal(out=gauss[i])
+    q = _qr_orthogonal(gauss[..., :r])
+    return np.swapaxes(q, 1, 2).copy()

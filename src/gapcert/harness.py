@@ -98,8 +98,9 @@ def _list(item, what: str, default, nonempty=True, convert=tuple) -> _Key:
                 f"be a {'nonempty ' * nonempty}list of {what}", default, convert)
 
 
-_NUMBER = _Key(_is_number, "be a number", None, float)
-# NaN fails every comparison; an integer above the largest float is refused before float()
+# NaN fails every comparison; an integer beyond the float range is refused before float()
+_NUMBER = _Key(lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
+               "be a finite number", None, float)
 _POSITIVE = _Key(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
                  "be a finite number > 0", None, float)
 _COMMON_KEYS = {
@@ -316,6 +317,8 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
             _require(r is not None, "missing required key 'r'")
             _require_chain_rank(d, r)
         else:
+            _require(d is None and r is None,
+                     "give either 'projector' or 'd' and 'r', not both (the file sets d and r)")
             cfg.loaded_projector = _read_projector(cfg.projector)
             _require_chain_rank(cfg.loaded_projector.d, cfg.loaded_projector.r)
 

@@ -105,6 +105,30 @@ def test_kernel_threshold_json_tokens_refused(tmp_path, token):
         load_config_file(str(path))
 
 
+_HUGE = 10**400  # an integer beyond the float range; float() would overflow
+_NEAR_GOOD = {"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 2, "family": "near-good"}
+
+
+@pytest.mark.parametrize("value", [pytest.param(_HUGE, id="int-1e400"),
+                                   pytest.param(-_HUGE, id="int-minus-1e400"),
+                                   math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("base", [{"mode": "gap-sweep", "d": 3, "r": 1}, _NEAR_GOOD,
+                                  dict(_NEAR_GOOD, family="haar")],
+                         ids=["gap-sweep", "tree-near-good", "tree-haar"])
+def test_epsilon_must_be_finite(base, value):
+    with pytest.raises(ConfigError, match="'epsilon' must be a finite number"):
+        load_config(dict(base, epsilon=value))
+
+
+def test_certify_one_refuses_d_or_r_next_to_a_projector(tmp_path):
+    path = tmp_path / "ref.json"
+    path.write_text(reference_projector(3, 1).to_json())
+    for extra in ({"d": 9, "r": 80}, {"d": 3}, {"r": 1}):
+        with pytest.raises(ConfigError, match="either 'projector' or 'd' and 'r'"):
+            load_config({"mode": "certify-one", "projector": str(path), **extra})
+    assert load_config({"mode": "certify-one", "projector": str(path)}).loaded_projector.d == 3
+
+
 def test_event_epsilon_window():
     with pytest.raises(ConfigError, match="epsilon"):
         load_config({"mode": "event-frequency", "d": 2, "r": 1, "epsilon": 0.25})
@@ -522,6 +546,22 @@ def test_cli_unreadable_inputs_are_config_errors(tmp_path):
         proc = _run_cli(args, tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("configuration error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_refuses_out_of_range_epsilon_and_projector_with_d(tmp_path):
+    huge = tmp_path / "huge_epsilon.json"
+    huge.write_text('{"mode": "gap-sweep", "d": 3, "r": 1, "epsilon": 1' + "0" * 400 + "}")
+    ref = tmp_path / "ref.json"
+    ref.write_text(reference_projector(3, 1).to_json())
+    for args, message in (
+        (["sweep", "--config", str(huge)], "'epsilon' must be a finite number"),
+        (["certify", "--projector", str(ref), "-d", "9", "-r", "80"], "not both"),
+    ):
+        proc = _run_cli(args, tmp_path)
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stderr.startswith("configuration error: ")
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
