@@ -9,11 +9,9 @@ gap statements.
 """
 
 from .capgeom import (
-    BoundReport,
     CapQuery,
     cap_lower_bound,
     cap_measure_exact,
-    cap_report,
     gap_probability_bound,
     landing_exponent,
     landing_probability_bound,

@@ -40,22 +40,6 @@ class CapQuery:
             raise DomainError(f"cap radius must lie in (0, pi), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """An exact value (when available) next to a proved lower bound."""
-
-    lower_bound: float
-    formula_id: str
-    exact: float | None = None
-
-    def __post_init__(self):
-        if self.exact is not None and self.exact < self.lower_bound:
-            raise ValueError(
-                f"exact value {self.exact} below lower bound {self.lower_bound} "
-                f"({self.formula_id}); numerical inputs are inconsistent"
-            )
-
-
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     """Classic adaptive Simpson with Richardson correction."""
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
@@ -97,13 +81,6 @@ def cap_lower_bound(q: CapQuery) -> float:
     if not (0.0 < q.delta < 0.25):
         raise DomainError(f"cap radius must lie in (0, 1/4) for this bound, got {q.delta}")
     return (0.5 / math.sqrt(math.pi)) * (0.5 * q.delta) ** q.n / math.sqrt(q.n)
-
-
-def cap_report(q: CapQuery) -> BoundReport:
-    """Exact cap measure together with the closed-form lower bound."""
-    return BoundReport(
-        exact=cap_measure_exact(q), lower_bound=cap_lower_bound(q), formula_id="cap-lower-bound"
-    )
 
 
 def landing_exponent(d: int, r: int) -> int:

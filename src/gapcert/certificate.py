@@ -13,7 +13,8 @@ gamma_loc <= 1, else >= 1, any L >= 4) and of k-ary trees
 (gamma >= 2k*(gamma_loc - 1 + 1/(2k))).  The local gap always dominates 1 - c,
 so a coupling norm below 1/2 (resp. 1/(2k)) certifies a gap.  The chain
 criterion bounds the gap above a zero ground energy, so a chain bound needs
-r <= max_ff_rank(d, "chain"); `certify` refuses a larger rank.
+r <= max_ff_rank(d, "chain"); `certify` refuses a larger rank through the
+rank rule of `gapcert.model`, the one the experiment harness asks too.
 
 Two edges overlap in one of two geometries, each taken from the smallest
 lattice of the edge-list model (`gapcert.model`) that has it, with each edge
@@ -59,15 +60,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    DomainError,
-    InvalidRankError,
-    NotAProjectorError,
-    SolverConvergenceError,
+from .errors import ConstructionError, DomainError, NotAProjectorError, SolverConvergenceError
+from .haar import OrthonormalFamily, RandomSeed, _qr_orthogonal
+from .model import (
+    ChainSpec,
+    LocalProjector,
+    TreeSpec,
+    _edge_dense,
+    _require_ff_rank,
+    reference_targets,
 )
-from .haar import OrthonormalFamily, RandomSeed
-from .model import ChainSpec, LocalProjector, TreeSpec, _edge_dense, max_ff_rank, reference_targets
 from .spectral import dense_spectrum, default_kernel_threshold
 
 MEET_EIGTOL = 1e-8
@@ -263,9 +265,7 @@ def certify(P: LocalProjector, k_list: tuple[int, ...] = ()) -> Certificate:
     is built once.  Raises DomainError for a rank above
     max_ff_rank(d, "chain"), where the chain criterion does not apply.
     """
-    if P.r > max_ff_rank(P.d, "chain"):
-        raise DomainError(f"the chain criterion needs a frustration-free rank r <= "
-                          f"{max_ff_rank(P.d, 'chain')} for d={P.d}, got r={P.r}")
+    _require_ff_rank(P.d, P.r)
     m, c, g_loc = _overlap(P, "path")
     g_lb = 1.0 - c
     best = max(g_loc, g_lb)
@@ -304,19 +304,14 @@ def construct_near_good(d: int, r: int, epsilon: float, seed: RandomSeed) -> Ort
     distance condition verifies.  The resulting projector certifies a chain
     gap above 1 - 8*r*epsilon.
     """
-    if not (1 <= r < d):
-        raise InvalidRankError(f"near-good construction requires 1 <= r < d, got r={r}, d={d}")
-    if not (0 < epsilon < 1.0 / (8.0 * r)):
-        raise DomainError(f"epsilon must lie in (0, 1/(8r)) = (0, {1.0/(8.0*r)}), got {epsilon}")
-    d2 = d * d
     targets = reference_targets(d, r).T
+    certified_gap_level(r, epsilon)  # refuses epsilon outside (0, 1/(8r))
     rng = seed.generator()
     scale = 0.9 * epsilon
     for _ in range(_RETRIES):
-        noise = rng.standard_normal((d2, r))
+        noise = rng.standard_normal((d * d, r))
         noise /= np.linalg.norm(noise, axis=0)
-        q, rr = np.linalg.qr(targets + scale * noise)
-        q = q * np.where(np.diagonal(rr) >= 0, 1.0, -1.0)
+        q = _qr_orthogonal(targets + scale * noise)
         dist = float(np.linalg.norm(q - targets, axis=0).max())
         if dist < epsilon:
             return OrthonormalFamily(d=d, r=r, vectors=q.T.copy(), seed=seed)
@@ -327,15 +322,17 @@ def construct_near_good(d: int, r: int, epsilon: float, seed: RandomSeed) -> Ort
 
 
 def certified_gap_level(r: int, epsilon: float) -> float:
-    """Gap level 1 - 8*r*epsilon guaranteed by a near-good family."""
+    """Gap level 1 - 8*r*epsilon guaranteed by a near-good family.
+
+    Raises DomainError outside the window 0 < epsilon < 1/(8r); the near-good
+    construction and the experiment harness check epsilon through this call.
+    """
     if not (0 < epsilon < 1.0 / (8.0 * r)):
-        raise DomainError(f"epsilon must lie in (0, 1/(8r)), got {epsilon}")
+        raise DomainError(f"epsilon must lie in (0, 1/(8r)) = (0, {1.0/(8.0*r)}), got {epsilon}")
     return 1.0 - 8.0 * r * epsilon
 
 
 def reference_distance(family: OrthonormalFamily) -> float:
     """max_i distance of the family from the reference targets (requires r < d)."""
-    if family.r >= family.d:
-        raise InvalidRankError("reference targets are only defined for r < d")
     targets = reference_targets(family.d, family.r)
     return float(np.linalg.norm(family.vectors - targets, axis=1).max())

@@ -64,6 +64,14 @@ class RandomSeed:
         return np.random.Generator(bg)
 
 
+def _check_site_space(d: int, r: int | None = None):
+    """The site space C^d needs d >= 2, and a two-site rank, if given, 1 <= r <= d^2."""
+    if d < 2:
+        raise InvalidDimensionError(f"local dimension must be >= 2, got {d}")
+    if r is not None and not (1 <= r <= d * d):
+        raise InvalidRankError(f"rank must satisfy 1 <= r <= d^2, got r={r}, d={d}")
+
+
 @dataclass(frozen=True)
 class OrthonormalFamily:
     """r orthonormal real vectors in dimension d**2, stored as rows of ``vectors``."""
@@ -74,10 +82,7 @@ class OrthonormalFamily:
     seed: RandomSeed | None = None
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InvalidDimensionError(f"local dimension must be >= 2, got {self.d}")
-        if not (1 <= self.r <= self.d**2):
-            raise InvalidRankError(f"rank must satisfy 1 <= r <= d^2, got r={self.r}, d={self.d}")
+        _check_site_space(self.d, self.r)
         v = np.asarray(self.vectors, dtype=float)
         if v.shape != (self.r, self.d**2):
             raise InvalidDimensionError(
@@ -140,10 +145,7 @@ def sample_family_batch(d: int, r: int, master_seed: int, start: int, count: int
     trial and draws that trial's n x n Gaussian; the thin QR factorizations of
     the kept columns then run as one stacked LAPACK call.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"local dimension must be >= 2, got {d}")
-    if not (1 <= r <= d**2):
-        raise InvalidRankError(f"rank must satisfy 1 <= r <= d^2, got r={r}, d={d}")
+    _check_site_space(d, r)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not (0 <= master_seed < 2**64 and 0 <= start <= 2**64 - max(count, 1)):

@@ -14,10 +14,12 @@ is); with another BLAS the run is left unpinned.  Per-row wall time is measured
 for console reporting but deliberately kept out of the files for the same
 reason.
 
-Each mode's configuration keys are declared once, in `_KEYS`.  `load_config`
-also builds the run's lattices, so a lattice too large for the run is refused
-as a ConfigError before any trial runs.  Gap sweeps and tree runs share one
-trial runner over those lattices.
+Each mode's configuration keys are declared once, in `_KEYS`.  The domain
+rules (lattice sizes, frustration-free ranks, the near-reference epsilon
+window, reference targets) are the library's: `load_config` builds the run's
+lattices and asks the functions that state the other rules, so a run outside
+them is refused as a ConfigError before any trial runs.  Gap sweeps and tree
+runs share one trial runner over those lattices.
 
 Output formats: CSV with a fixed header per mode (floats printed with 17
 significant digits; summary statistics appended as '# key=value' comment
@@ -51,7 +53,8 @@ from .model import (
     ChainSpec,
     LocalProjector,
     TreeSpec,
-    max_ff_rank,
+    _check_reference_rank,
+    _require_ff_rank,
     projector_from_family,
     reference_targets,
 )
@@ -136,7 +139,8 @@ _KEYS = {
     },
     "cap-table": {
         **_COMMON_KEYS,
-        "n_list": _list(lambda n: _is_int(n) and n >= 1, "integers >= 1", (3, 8, 15)),
+        "n_list": _list(lambda n: _is_int(n) and 1 <= n <= sys.float_info.max,
+                        f"integers in [1, {sys.float_info.max:.4g}]", (3, 8, 15)),
         "delta_list": _list(lambda x: _is_number(x) and 0 < x < math.pi, "radii in (0, pi)",
                             (0.2, 0.5, 1.0), convert=lambda v: tuple(map(float, v))),
         "mc_samples": _int(0, default=100_000),
@@ -229,17 +233,12 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _lattice(cls, *args) -> ChainSpec | TreeSpec:
-    """cls(*args), with a refused size reported as a ConfigError."""
+def _domain(fn, *args):
+    """fn(*args), with the library's refusal (a ValueError) reported as a ConfigError."""
     try:
-        return cls(*args)
+        return fn(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _require_chain_rank(d: int, r: int):
-    bound = max_ff_rank(d, "chain")
-    _require(r <= bound, f"r={r} exceeds the frustration-free rank bound {bound} for d={d}")
 
 
 def _read_projector(path: str) -> LocalProjector:
@@ -285,42 +284,39 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
     d, r = cfg.d, cfg.r
 
     if cfg_mode == "gap-sweep":
-        _require_chain_rank(d, r)
+        _domain(_require_ff_rank, d, r)
         _require(not ("L" in obj and "L_range" in obj), "give either 'L' or 'L_range', not both")
         if L_range is not None:
             lo, hi = L_range
-            _lattice(ChainSpec, d, r, hi)  # refuses a too long chain before listing the range
+            _domain(ChainSpec, d, r, hi)  # refuses a too long chain before listing the range
             cfg.L = tuple(range(lo, hi + 1))
         cfg.compute_gaps = cfg.compute_gaps and bool(cfg.L)
         if cfg.epsilon is None:
             cfg.epsilon = 1.0 / 16.0 if r == 1 else 1.0 / (9.0 * r)
-        _require(0 < cfg.epsilon < 1.0 / (8.0 * r),
-                 f"epsilon must lie in (0, 1/(8r)) = (0, {1.0/(8.0*r)}), got {cfg.epsilon}")
+        _domain(certified_gap_level, r, cfg.epsilon)
         if cfg.compute_gaps:
-            cfg.lattices = tuple(_lattice(ChainSpec, d, r, L) for L in cfg.L)
+            cfg.lattices = tuple(_domain(ChainSpec, d, r, L) for L in cfg.L)
 
     elif cfg_mode == "event-frequency":
-        _require(r < d, f"event-frequency requires r < d, got r={r}, d={d}")
+        _domain(_check_reference_rank, d, r)
 
     elif cfg_mode == "tree-gap":
-        _require(r <= max_ff_rank(d, "tree", cfg.k),
-                 f"tree frustration-freeness requires r < d/k, got r={r}, d={d}, k={cfg.k}")
+        _domain(_require_ff_rank, d, r, "tree", cfg.k)
         if cfg.family == "near-good":
             _require(cfg.epsilon is not None, "near-good family requires 'epsilon'")
-            _require(0 < cfg.epsilon < 1.0 / (8.0 * r),
-                     f"near-good epsilon must lie in (0, 1/(8r)), got {cfg.epsilon}")
-        cfg.lattices = (_lattice(TreeSpec, d, r, cfg.k, cfg.L),)
+            _domain(certified_gap_level, r, cfg.epsilon)
+        cfg.lattices = (_domain(TreeSpec, d, r, cfg.k, cfg.L),)
 
     elif cfg_mode == "certify-one":
         if cfg.projector is None:
             _require(d is not None, "missing required key 'd'")
             _require(r is not None, "missing required key 'r'")
-            _require_chain_rank(d, r)
         else:
             _require(d is None and r is None,
                      "give either 'projector' or 'd' and 'r', not both (the file sets d and r)")
             cfg.loaded_projector = _read_projector(cfg.projector)
-            _require_chain_rank(cfg.loaded_projector.d, cfg.loaded_projector.r)
+            d, r = cfg.loaded_projector.d, cfg.loaded_projector.r
+        _domain(_require_ff_rank, d, r)
 
     if cfg.gap_method != "iterative":
         largest = max((spec.dim for spec in cfg.lattices), default=0)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidRankError, NotAProjectorError
-from .haar import OrthonormalFamily, RandomSeed
+from .errors import DomainError, InvalidDimensionError, InvalidRankError, NotAProjectorError
+from .haar import OrthonormalFamily, RandomSeed, _check_site_space
 
 #: largest dimension for which operators may be materialized as dense matrices
 DENSE_DIM_LIMIT = 20_000
@@ -71,8 +71,7 @@ def max_ff_rank(d: int, lattice: str = "chain", k: int | None = None) -> int:
 
     Chains admit r <= max(d-1, floor(d^2/4)); k-ary trees admit r < d/k.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"local dimension must be >= 2, got {d}")
+    _check_site_space(d)
     if lattice == "chain":
         return max(d - 1, d * d // 4)
     if lattice == "tree":
@@ -80,6 +79,14 @@ def max_ff_rank(d: int, lattice: str = "chain", k: int | None = None) -> int:
             raise InvalidDimensionError("tree lattice requires a branching factor k >= 2")
         return -(-d // k) - 1  # ceil(d/k) - 1: largest integer strictly below d/k
     raise ValueError(f"unknown lattice {lattice!r}")
+
+
+def _require_ff_rank(d: int, r: int, lattice: str = "chain", k: int | None = None):
+    """Refuse, with a DomainError, a rank above max_ff_rank(d, lattice, k)."""
+    bound = max_ff_rank(d, lattice, k)
+    if r > bound:
+        where = f"d={d}, k={k} (a tree needs r < d/k)" if lattice == "tree" else f"d={d}"
+        raise DomainError(f"r={r} exceeds the frustration-free rank bound {bound} for {where}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,7 @@ class LocalProjector:
     seed: RandomSeed | None = None
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InvalidDimensionError(f"local dimension must be >= 2, got {self.d}")
+        _check_site_space(self.d)
         d2 = self.d**2
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (d2, d2):
@@ -138,8 +144,15 @@ def projector_from_family(family: OrthonormalFamily) -> LocalProjector:
     return LocalProjector(d=family.d, r=family.r, matrix=0.5 * (m + m.T), seed=family.seed)
 
 
+def _check_reference_rank(d: int, r: int):
+    """The reference targets (1, 2), ..., (1, r+1) exist for 1 <= r < d."""
+    if not (1 <= r < d):
+        raise InvalidRankError(f"reference targets require 1 <= r < d, got r={r}, d={d}")
+
+
 def reference_targets(d: int, r: int) -> np.ndarray:
     """Rows are the reference target vectors: the pair states (1, 2), ..., (1, r+1)."""
+    _check_reference_rank(d, r)
     targets = np.zeros((r, d * d))
     for i in range(1, r + 1):
         targets[i - 1, pair_flat_index(1, i + 1, d)] = 1.0
@@ -153,8 +166,6 @@ def reference_projector(d: int, r: int) -> LocalProjector:
     the second, so adjacent translates have orthogonal ranges: a middle site
     would need a label >= 2 for the left copy and the label 1 for the right one.
     """
-    if not (1 <= r < d):
-        raise InvalidRankError(f"reference projector requires 1 <= r < d, got r={r}, d={d}")
     return LocalProjector(d=d, r=r, matrix=np.diag(reference_targets(d, r).sum(axis=0)))
 
 
@@ -183,10 +194,7 @@ class _Lattice:
 
     def __post_init__(self):
         sites = self.sites  # a tree's vertex count checks k and L first
-        if self.d < 2:
-            raise InvalidDimensionError(f"local dimension must be >= 2, got {self.d}")
-        if not (1 <= self.r <= self.d**2):
-            raise InvalidRankError(f"rank {self.r} outside 1..d^2 for d={self.d}")
+        _check_site_space(self.d, self.r)
         _state_dim(self.d, sites)
 
     @property

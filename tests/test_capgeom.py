@@ -8,13 +8,11 @@ import pytest
 import scipy.special
 
 from gapcert import (
-    BoundReport,
     CapQuery,
     DomainError,
     RandomSeed,
     cap_lower_bound,
     cap_measure_exact,
-    cap_report,
     gap_probability_bound,
     landing_exponent,
     landing_probability_bound,
@@ -115,13 +113,8 @@ def test_cap_bound_monotone_in_delta():
 def test_exact_exceeds_lower_bound_on_grid():
     for n in (3, 8, 15, 24):
         for delta in np.linspace(0.01, 0.24, 50):
-            report = cap_report(CapQuery(n, float(delta)))
-            assert report.exact > report.lower_bound
-
-
-def test_bound_report_consistency_check():
-    with pytest.raises(ValueError):
-        BoundReport(exact=0.1, lower_bound=0.2, formula_id="x")
+            q = CapQuery(n, float(delta))
+            assert cap_measure_exact(q) > cap_lower_bound(q)
 
 
 def test_landing_exponent():

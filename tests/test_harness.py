@@ -120,6 +120,14 @@ def test_epsilon_must_be_finite(base, value):
         load_config(dict(base, epsilon=value))
 
 
+def test_n_list_must_fit_a_float():
+    # cap_measure_exact raises sin(phi) to the power n - 1, a float power
+    with pytest.raises(ConfigError, match="'n_list' must be a nonempty list of integers in"):
+        load_config({"mode": "cap-table", "n_list": [3, _HUGE]})
+    largest = int(sys.float_info.max)
+    assert load_config({"mode": "cap-table", "n_list": [largest]}).n_list == (largest,)
+
+
 def test_certify_one_refuses_d_or_r_next_to_a_projector(tmp_path):
     path = tmp_path / "ref.json"
     path.write_text(reference_projector(3, 1).to_json())
@@ -563,6 +571,16 @@ def test_cli_refuses_out_of_range_epsilon_and_projector_with_d(tmp_path):
         assert proc.stderr.startswith("configuration error: ")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_cap_table_refuses_n_beyond_the_float_range(tmp_path):
+    cfg = tmp_path / "huge_n.json"
+    cfg.write_text('{"mode": "cap-table", "n_list": [1' + "0" * 400 + '], "mc_samples": 0}')
+    proc = _run_cli(["cap-table", "--config", str(cfg)], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: ")
+    assert "'n_list' must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_certify_refuses_ranks_above_the_chain_bound(tmp_path):
