@@ -37,6 +37,10 @@ from .errors import InvalidDimensionError, InvalidRankError
 _U64 = np.uint64
 _GRAM_TOL = 1e-12
 
+#: most coordinates of a sampled sphere point: 128 MB of doubles, the size
+#: `model.MAX_STATE_DIM` allows a state vector
+MAX_SPHERE_COORDS = 2**24
+
 
 @dataclass(frozen=True)
 class RandomSeed:
@@ -122,16 +126,24 @@ def sample_family(d: int, r: int, seed: RandomSeed) -> OrthonormalFamily:
     return OrthonormalFamily(d=d, r=r, vectors=vectors, seed=seed)
 
 
+def _check_sphere_dim(n: int):
+    """S^n needs n >= 1, and its points' n + 1 coordinates at most MAX_SPHERE_COORDS."""
+    if n < 1:
+        raise InvalidDimensionError(f"sphere dimension must be >= 1, got {n}")
+    if n + 1 > MAX_SPHERE_COORDS:
+        raise InvalidDimensionError(f"sphere dimension must be <= {MAX_SPHERE_COORDS - 1} "
+                                    f"(n + 1 coordinates per point), got {n}")
+
+
 def sample_sphere(n: int, count: int, seed: RandomSeed) -> np.ndarray:
     """`count` independent uniform points on the sphere S^n, shape (count, n+1).
 
     Normalized standard normals from one stream.  This matches the marginal
     distribution of a sampled family's first vector: with the positive-diagonal
     sign convention, the first column of the orthogonal factor is exactly the
-    normalized first Gaussian column.
+    normalized first Gaussian column.  Refuses n + 1 > MAX_SPHERE_COORDS.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"sphere dimension must be >= 1, got {n}")
+    _check_sphere_dim(n)
     pts = seed.generator().standard_normal((count, n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts

@@ -47,7 +47,13 @@ import numpy as np
 from . import capgeom
 from .certificate import certified_gap_level, certify, construct_near_good
 from .errors import ConfigError
-from .haar import RandomSeed, sample_family, sample_family_batch, sample_sphere
+from .haar import (
+    RandomSeed,
+    _check_sphere_dim,
+    sample_family,
+    sample_family_batch,
+    sample_sphere,
+)
 from .model import (
     DENSE_DIM_LIMIT,
     ChainSpec,
@@ -317,6 +323,10 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
             cfg.loaded_projector = _read_projector(cfg.projector)
             d, r = cfg.loaded_projector.d, cfg.loaded_projector.r
         _domain(_require_ff_rank, d, r)
+
+    elif cfg_mode == "cap-table" and cfg.mc_samples > 0:
+        for n in cfg.n_list:
+            _domain(_check_sphere_dim, n)
 
     if cfg.gap_method != "iterative":
         largest = max((spec.dim for spec in cfg.lattices), default=0)

@@ -5,6 +5,14 @@ Both lattices are edge lists: a chain of L sites is the path graph with bonds
 one dense assembler of H and one assembler of the Gram matrix of the
 interaction ranges (`range_gram`) serve both.
 
+The matvec applies H as a sequence of blocks, planned once per Hamiltonian by
+`hamiltonian_matvec`.  For d <= 4, two consecutive edges that share a site
+(the bonds (j, j+1), (j+1, j+2) of a chain, the sibling edges (v, c1),
+(v, c2) of a tree) are one block: the d^3 x d^3 matrix of their summed terms,
+applied in one product.  That is d^3 flops per state entry against 2 d^2 for
+the two edges alone, but one pass over the state against two.  For d >= 5
+the flops dominate, and every block is one edge.
+
 Basis convention (fixed everywhere in this package):
 
 * pair basis: the product state with 1-based site labels (i, j) maps to the
@@ -260,36 +268,85 @@ def _check_projector_dim(P: LocalProjector, d: int):
         raise InvalidDimensionError(f"projector has d={P.d} but the lattice has d={d}")
 
 
-def _edge_matvec(P: LocalProjector, sites: int, edges, x: np.ndarray) -> np.ndarray:
-    """Apply the sum over edges (a, b), a < b, of P on sites a and b to x.
+#: largest local dimension at which the matvec pairs edges that share a site:
+#: up to d = 4 a pair's d^3 flops per state entry are at most twice the 2 d^2
+#: of its two edges, for half the passes over the state
+_PAIR_MAX_D = 4
 
-    x may be a vector of dimension d**sites or a (d**sites, m) block.  For an
-    edge (a, b) the state is viewed as (d^a, d, d^(b-a-1), d, rest).  Terms are
-    added edge by edge in the given order, so the result is reproducible.
+
+def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
+    """The state dimension and the blocks `_edge_matvec` applies, in order.
+
+    For d <= _PAIR_MAX_D the edges are taken in their order and each one that
+    shares a site with the next forms a block with it: a chain pairs bonds
+    (j, j+1), (j+1, j+2), a breadth-first tree sibling edges (v, c1), (v, c2).
+    Every other edge is a block of its own.  A block is (M, shape, perm): M is
+    the sum of its terms on its sites in ascending order, P itself for one
+    edge and `_edge_dense` of the two terms for a pair.  On adjacent sites
+    ``shape`` is (left, M's dimension, rest) and ``perm`` is None; otherwise
+    ``shape`` puts each block site on an axis of its own and ``perm`` moves
+    those axes to the front.
     """
     d = P.d
     dim = _state_dim(d, sites)
+    blocks, i = [], 0
+    while i < len(edges):
+        pair = d <= _PAIR_MAX_D and i + 1 < len(edges) and set(edges[i]) & set(edges[i + 1])
+        n = 2 if pair else 1
+        group, i = edges[i:i + n], i + n
+        own = sorted(set().union(*group))
+        local = [(own.index(a), own.index(b)) for a, b in group]
+        M = P.matrix if n == 1 else _edge_dense(P, len(own), local)
+        if own[-1] - own[0] == len(own) - 1:
+            blocks.append((M, (d ** own[0], M.shape[0], d ** (sites - own[-1] - 1)), None))
+            continue
+        shape, front, back, lo = [], [], [], 0
+        for s in own:
+            if s > lo:
+                back.append(len(shape))
+                shape.append(d ** (s - lo))
+            front.append(len(shape))
+            shape.append(d)
+            lo = s + 1
+        if lo < sites:
+            back.append(len(shape))
+            shape.append(d ** (sites - lo))
+        blocks.append((M, tuple(shape), tuple(front + back)))
+    return dim, blocks
+
+
+def _edge_matvec(plan, x: np.ndarray) -> np.ndarray:
+    """Apply the Hamiltonian that `_edge_plan` planned to x.
+
+    x may be a vector of dimension d**sites or a (d**sites, m) block.  Each
+    block is one product with its matrix M: over the block's sites, on plain
+    reshapes when they are adjacent, after a copy that moves them to the front
+    otherwise.  Blocks are added in the plan's order, so the result is
+    reproducible; for d > _PAIR_MAX_D every block is one edge, added edge by
+    edge.
+    """
+    dim, blocks = plan
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if x.shape[0] != dim:
-        raise InvalidDimensionError(
-            f"state dimension {x.shape[0]} does not match d^{sites} = {dim}"
-        )
+        raise InvalidDimensionError(f"state dimension {x.shape[0]} does not match {dim}")
     xb = x.reshape(dim, -1)
+    m = xb.shape[1]
     y = np.zeros(xb.shape)  # C order, so that the views of y below never copy
-    for a, b in edges:
-        left, mid, rest = d**a, d ** (b - a - 1), d ** (sites - b - 1) * xb.shape[1]
-        if mid == 1 and rest == 1:  # the last bond of a vector: one 2-D product
-            ye = y.reshape(left, d * d)
-            ye += xb.reshape(left, d * d) @ P.matrix.T
-        elif mid == 1:  # a bond: one product per left index, on plain reshapes
-            ye = y.reshape(left, d * d, rest)
-            ye += P.matrix @ xb.reshape(left, d * d, rest)
-        else:  # the pair moves to the front (a copy) for one wide product
-            shape = (left, d, mid, d, rest)
-            ye = y.reshape(shape).transpose(1, 3, 0, 2, 4)
-            xe = xb.reshape(shape).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
-            ye += (P.matrix @ xe).reshape(ye.shape)
+    for M, shape, perm in blocks:
+        n = M.shape[0]
+        if perm is None and shape[2] * m == 1:  # the last sites of a vector: one 2-D product
+            ye = y.reshape(shape[0], n)
+            ye += xb.reshape(shape[0], n) @ M.T
+        elif perm is None:  # adjacent sites: one product per left index, on plain reshapes
+            shape = (shape[0], n, shape[2] * m)
+            ye = y.reshape(shape)
+            ye += M @ xb.reshape(shape)
+        else:  # the block's sites move to the front (a copy) for one wide product
+            shape, perm = shape + (m,), perm + (len(shape),)
+            ye = y.reshape(shape).transpose(perm)
+            xe = xb.reshape(shape).transpose(perm).reshape(n, -1)
+            ye += (M @ xe).reshape(ye.shape)
     return y.reshape(dim) if single else y
 
 
@@ -309,23 +366,30 @@ def _edge_dense(P: LocalProjector, sites: int, edges) -> np.ndarray:
     return h
 
 
-def chain_matvec(P: LocalProjector, L: int, x: np.ndarray) -> np.ndarray:
+def chain_matvec(P: LocalProjector, L: int, x: np.ndarray, *, plan=None) -> np.ndarray:
     """Apply the L-site chain Hamiltonian to x without materializing it.
 
     x may be a vector of dimension d**L or a (d**L, m) block of columns.
+    ``plan``, the `_edge_plan` of this chain and P, saves rebuilding it on
+    every call (`hamiltonian_matvec` passes it).
     """
-    if L < 2:
-        raise InvalidDimensionError(f"chain length must be >= 2, got {L}")
-    return _edge_matvec(P, L, _path_edges(L), x)
+    if plan is None:
+        if L < 2:
+            raise InvalidDimensionError(f"chain length must be >= 2, got {L}")
+        plan = _edge_plan(P, L, _path_edges(L))
+    return _edge_matvec(plan, x)
 
 
-def tree_matvec(P: LocalProjector, k: int, L: int, x: np.ndarray) -> np.ndarray:
+def tree_matvec(P: LocalProjector, k: int, L: int, x: np.ndarray, *, plan=None) -> np.ndarray:
     """Apply the k-ary tree Hamiltonian (one projector per edge) to x.
 
     x may be a vector of dimension d**V or a (d**V, m) block.  The projector's
     first tensor factor acts on the parent vertex, the second on the child.
+    ``plan`` is as for `chain_matvec`.
     """
-    return _edge_matvec(P, tree_vertex_count(k, L), tree_edges(k, L), x)
+    if plan is None:
+        plan = _edge_plan(P, tree_vertex_count(k, L), tree_edges(k, L))
+    return _edge_matvec(plan, x)
 
 
 def _range_factor(P: LocalProjector) -> np.ndarray:
@@ -432,8 +496,14 @@ def range_gram(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
 
 
 def hamiltonian_matvec(spec: ChainSpec | TreeSpec, P: LocalProjector):
-    """Return a closure applying the Hamiltonian of ``spec`` to vectors or blocks."""
+    """Return a closure applying the Hamiltonian of ``spec`` to vectors or blocks.
+
+    The blocks of the matvec are planned here, once per Hamiltonian.
+    """
     _check_projector_dim(P, spec.d)
+    plan = _edge_plan(P, spec.sites, spec.edges)
+    # by keyword, and through the module's names, so that a wrapper patched
+    # over chain_matvec or tree_matvec sees the state as the last argument
     if isinstance(spec, ChainSpec):
-        return lambda x: chain_matvec(P, spec.L, x)
-    return lambda x: tree_matvec(P, spec.k, spec.L, x)
+        return lambda x: chain_matvec(P, spec.L, x, plan=plan)
+    return lambda x: tree_matvec(P, spec.k, spec.L, x, plan=plan)

@@ -49,6 +49,7 @@ solve that converges both targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,14 +149,17 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
 def _dense_levels(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
     """Ascending spectrum of the Hamiltonian H = B B^T (`range_gram`).
 
-    A diagonal P gives a diagonal H, whose diagonal is H 1: the matvec adds
-    the same entries in the same edge order as `dense_hamiltonian`, so the
-    sorted H 1 equals the sorted diagonal of H bit for bit, without a dim^2
-    array or LAPACK.  Otherwise, when B has m < dim columns, this is the
-    spectrum of the m x m Gram matrix G = B^T B plus dim - m exact zeros, and
-    for m >= dim H is assembled and solved.  H is exactly symmetric and G is
-    read from its lower triangle, so neither is checked for symmetry.  Every
-    route refuses dimensions above DENSE_DIM_LIMIT.
+    A diagonal P gives a diagonal H, whose diagonal is H 1, read off without
+    a dim^2 array or LAPACK.  The matvec sums a pair of edges into one block
+    before it adds the block to the state, in another order than
+    `dense_hamiltonian` adds the same entries; the sorted H 1 equals the
+    sorted diagonal of H bit for bit where each diagonal sum is exact, as for
+    the 0/1 entries of `reference_projector`.  Otherwise, when B has m < dim
+    columns, this is the spectrum of the m x m Gram matrix G = B^T B plus
+    dim - m exact zeros, and for m >= dim H is assembled and solved.  H is
+    exactly symmetric and G is read from its lower triangle, so neither is
+    checked for symmetry.  Every route refuses dimensions above
+    DENSE_DIM_LIMIT.
     """
     if np.count_nonzero(P.matrix) == np.count_nonzero(np.diagonal(P.matrix)):
         _check_dense(spec, P)
@@ -175,15 +179,15 @@ def _orthonormalize(r: np.ndarray, basis: np.ndarray, ref: float):
     Gragg, Kaufman & Stewart).  Returns (q, c, beta) with the projected
     r = beta q; when that falls below _DROP_RTOL * ref, q is None and beta 0.
     """
-    before = np.linalg.norm(r)
+    before = math.sqrt(r @ r)
     c = basis @ r
     r = r - c @ basis
-    beta = np.linalg.norm(r)
+    beta = math.sqrt(r @ r)
     if beta < before * _DGKS_RATIO:
         c2 = basis @ r
         r -= c2 @ basis
         c += c2
-        beta = np.linalg.norm(r)
+        beta = math.sqrt(r @ r)
     if beta > _DROP_RTOL * ref:
         return r / beta, c, beta
     return None, c, 0.0
@@ -256,7 +260,7 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
 
     def fresh(n):
         z = rng.standard_normal(dim)
-        return _orthonormalize(z, V[:n], np.linalg.norm(z))[0]
+        return _orthonormalize(z, V[:n], math.sqrt(z @ z))[0]
 
     q = fresh(0)
     n = lo = 0
@@ -265,7 +269,7 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
         hq = apply(q)
         T[n, n] = q @ hq
         r = hq - T[n, lo:n + 1] @ V[lo:n + 1]
-        q, c, beta = _orthonormalize(r, V[:n + 1], np.linalg.norm(hq))
+        q, c, beta = _orthonormalize(r, V[:n + 1], math.sqrt(hq @ hq))
         T[n, n] += c[n]
         lo, n = n, n + 1
         stats.iterations += 1
@@ -358,6 +362,12 @@ def gap_report(
     the floor, as for H = I; the iterative path then has spanned the whole
     space, so both methods report it alike.  An iterative report also carries
     the solve's work (`SolverStats`).
+
+    An iterative gap is a Ritz value within its residual of an eigenvalue, but
+    a Lanczos solve cannot rule out a missed level: a level whose eigenspace
+    the start vector barely touches may converge after the targets, or never
+    (an eigenspace orthogonal to the start vector is never seen), and the
+    reported gap is then a higher level.  The dense path sees every level.
     """
     dim = spec.dim
     n_terms = spec.n_terms

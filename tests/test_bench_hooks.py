@@ -2,12 +2,18 @@
 
 `bench/` imports gapcert names and patches others by name (`PATCH_POINTS` in
 `bench/spans.py`); a deleted or renamed one would only show when the
-benchmark runs.  The files are read with `ast`, not imported.
+benchmark runs.  The files are read with `ast`, not imported.  The matvec
+closures must also keep calling the patched names through `gapcert.model`.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gapcert import ChainSpec, LocalProjector, TreeSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -47,3 +53,28 @@ def test_bench_patch_points_resolve():
     hooks = {(module, name) for module, names in points.items() for name in names}
     assert hooks
     assert sorted(hook for hook in hooks if not _resolves(*hook)) == []
+
+
+@pytest.mark.parametrize("name, spec", [("chain_matvec", ChainSpec(2, 1, 5)),
+                                        ("tree_matvec", TreeSpec(2, 1, 2, 3))])
+def test_matvec_closures_call_through_the_module(name, spec, monkeypatch):
+    # the benchmark's span wrapper replaces these names in gapcert.model and
+    # reads the lattice sizes from the positional arguments after P, the state
+    # from the last one
+    model = importlib.import_module("gapcert.model")
+    calls, real = [], getattr(model, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    P = LocalProjector(2, 1, np.diag([0.0, 1.0, 0.0, 0.0]))
+    matvec = model.hamiltonian_matvec(spec, P)
+    monkeypatch.setattr(model, name, counting)  # looked up at each call, not bound
+    x = np.arange(spec.dim, dtype=float)
+    block = np.ones((spec.dim, 2))
+    matvec(x)
+    matvec(block)
+    sizes = (spec.L,) if name == "chain_matvec" else (spec.k, spec.L)
+    assert [args[1:-1] for args in calls] == [sizes, sizes]
+    assert calls[0][-1] is x and calls[1][-1] is block

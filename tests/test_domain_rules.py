@@ -27,7 +27,9 @@ from gapcert import (
     reference_projector,
     sample_family,
     sample_family_batch,
+    sample_sphere,
 )
+from gapcert.haar import MAX_SPHERE_COORDS
 from gapcert.harness import load_config
 from gapcert.model import reference_targets
 from conftest import random_projector
@@ -149,6 +151,25 @@ def test_reference_target_rule(entry, d):
     call(d, d - 1)
     with pytest.raises(error, match="1 <= r < d"):
         call(d, d)
+
+
+# --- sphere points: S^n has n + 1 <= MAX_SPHERE_COORDS coordinates -----------
+
+_SPHERE_ENTRIES = {  # name: (call(n), error); no point is drawn
+    "sample_sphere": (lambda n: sample_sphere(n, 0, RandomSeed(5, 0)), InvalidDimensionError),
+    "cap-table": (lambda n: load_config({"mode": "cap-table", "n_list": [3, n],
+                                         "mc_samples": 1}), ConfigError),
+}
+
+
+@pytest.mark.parametrize("entry", _SPHERE_ENTRIES)
+def test_sphere_point_size_rule(entry):
+    call, error = _SPHERE_ENTRIES[entry]
+    call(1)
+    call(MAX_SPHERE_COORDS - 1)
+    for n in (MAX_SPHERE_COORDS, 10**300):
+        with pytest.raises(error, match=f"sphere dimension must be <= {MAX_SPHERE_COORDS - 1}"):
+            call(n)
 
 
 # --- Haar sign convention: the triangular factor has a nonnegative diagonal ---

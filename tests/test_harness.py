@@ -124,8 +124,9 @@ def test_n_list_must_fit_a_float():
     # cap_measure_exact raises sin(phi) to the power n - 1, a float power
     with pytest.raises(ConfigError, match="'n_list' must be a nonempty list of integers in"):
         load_config({"mode": "cap-table", "n_list": [3, _HUGE]})
-    largest = int(sys.float_info.max)
-    assert load_config({"mode": "cap-table", "n_list": [largest]}).n_list == (largest,)
+    largest = int(sys.float_info.max)  # exact measures only: no point of S^n is drawn
+    assert load_config({"mode": "cap-table", "n_list": [largest],
+                        "mc_samples": 0}).n_list == (largest,)
 
 
 def test_certify_one_refuses_d_or_r_next_to_a_projector(tmp_path):
@@ -580,6 +581,16 @@ def test_cli_cap_table_refuses_n_beyond_the_float_range(tmp_path):
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.startswith("configuration error: ")
     assert "'n_list' must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_cap_table_refuses_sphere_points_beyond_the_coordinate_limit(tmp_path):
+    cfg = tmp_path / "huge_points.json"
+    cfg.write_text('{"mode": "cap-table", "n_list": [1' + "0" * 300 + '], "mc_samples": 1}')
+    proc = _run_cli(["cap-table", "--config", str(cfg)], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: ")
+    assert "sphere dimension must be <=" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -213,6 +213,85 @@ def test_tree_matvec_dimension_checks():
         TreeSpec(3, 1, 2, 20)  # d^V far beyond any feasible state vector
 
 
+def _site_axes_oracle(p_matrix, d, sites, edges, x):
+    """H x edge by edge: P contracted with the two site axes of x by einsum."""
+    t = x.reshape((d,) * sites + (-1,))
+    pt = p_matrix.reshape(d, d, d, d)
+    y = np.zeros(t.shape)
+    for a, b in edges:
+        moved = np.einsum("ijkl,kl...->ij...", pt, np.moveaxis(t, (a, b), (0, 1)))
+        y += np.moveaxis(moved, (0, 1), (a, b))
+    return y.reshape(x.shape)
+
+
+def _block_sizes(p, sites, edges):
+    """Matrix dimension of each block of the matvec's plan, in order."""
+    return [M.shape[0] for M, _, _ in model._edge_plan(p, sites, edges)[1]]
+
+
+@pytest.mark.parametrize("d,L", [(2, 2), (2, 5), (2, 6), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4)])
+def test_paired_chain_matvec_vs_kron_oracle(d, L):
+    # bonds (j, j+1), (j+1, j+2) form one block; an odd bond count leaves the last alone
+    p = random_projector(d, 1, master=50 + 10 * d + L)
+    pairs, single = divmod(L - 1, 2)
+    assert _block_sizes(p, L, ChainSpec(d, 1, L).edges) == [d**3] * pairs + [d**2] * single
+    h = kron_chain_oracle(p.matrix, d, L)
+    gen = np.random.default_rng(L)
+    for x in (gen.standard_normal(d**L), gen.standard_normal((d**L, 3))):
+        y = chain_matvec(p, L, x)
+        assert y.shape == x.shape
+        assert np.abs(y - h @ x).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,k,L,pattern", [
+    (2, 2, 3, [3, 3, 3]), (3, 2, 3, [3, 3, 3]), (4, 2, 2, [3]), (3, 3, 2, [3, 2]),
+    # (0, 3) and (1, 4) share no site: each edge (v, 3v + 3) stays alone
+    (2, 3, 3, [3, 2] * 4), (2, 2, 1, []),
+])
+def test_paired_tree_matvec_vs_site_axes_oracle(d, k, L, pattern):
+    # sibling edges (v, c1), (v, c2) form one block; blocks are d^3 or d^2 square
+    p = random_projector(d, 1, master=60 + d + k + L)
+    spec = TreeSpec(d, 1, k, L)
+    assert _block_sizes(p, spec.sites, spec.edges) == [d**n for n in pattern]
+    gen = np.random.default_rng(k + L)
+    for x in (gen.standard_normal(spec.dim), gen.standard_normal((spec.dim, 3))):
+        y = tree_matvec(p, k, L, x)
+        assert y.shape == x.shape
+        assert np.abs(y - _site_axes_oracle(p.matrix, d, spec.sites, spec.edges, x)).max() < 1e-12
+
+
+_PLANNED = [ChainSpec(2, 1, 7), ChainSpec(3, 1, 6), ChainSpec(5, 1, 4), TreeSpec(3, 1, 2, 3),
+            TreeSpec(2, 1, 3, 3), TreeSpec(5, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("spec", _PLANNED, ids=str)
+def test_planned_closure_equals_the_public_call(spec):
+    # hamiltonian_matvec plans the blocks once; the public call plans them per call
+    p = random_projector(spec.d, spec.r, master=70)
+    mv = hamiltonian_matvec(spec, p)
+    gen = np.random.default_rng(71)
+    for x in (gen.standard_normal(spec.dim), gen.standard_normal((spec.dim, 2))):
+        if isinstance(spec, ChainSpec):
+            public = chain_matvec(p, spec.L, x)
+        else:
+            public = tree_matvec(p, spec.k, spec.L, x)
+        assert np.array_equal(mv(x), public)
+
+
+@pytest.mark.parametrize("spec", [s for s in _PLANNED if s.d == 5] + [TreeSpec(5, 1, 3, 2)],
+                         ids=str)
+def test_matvec_above_d4_adds_edge_by_edge(spec):
+    # for d >= 5 every block is one edge, added in edge order
+    p = random_projector(5, 1, master=72)
+    assert _block_sizes(p, spec.sites, spec.edges) == [25] * spec.n_terms
+    gen = np.random.default_rng(73)
+    for x in (gen.standard_normal(spec.dim), gen.standard_normal((spec.dim, 2))):
+        expected = np.zeros(x.shape)
+        for edge in spec.edges:
+            expected += model._edge_matvec(model._edge_plan(p, spec.sites, [edge]), x)
+        assert np.array_equal(hamiltonian_matvec(spec, p)(x), expected)
+
+
 def _edge_factor_oracle(phi, sites, a, b):
     """Phi on sites a < b times the identity elsewhere, one column per range
     index k and configuration y of the other sites (k major, y in site order),

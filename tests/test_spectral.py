@@ -205,7 +205,8 @@ def test_gap_report_no_level_above_the_floor(method):
      + [ChainSpec(4, 2, L) for L in range(3, 6)]
      + [TreeSpec(3, 1, 2, 2), TreeSpec(3, 1, 3, 2), TreeSpec(4, 1, 3, 2)]
      + [ChainSpec(2, 2, 3)]]  # m = dim: assembled and solved as H, not frustration-free
-    # a diagonal P: H 1 sorted, equal to the sorted diagonal of H bit for bit
+    # a diagonal 0/1 P: H 1 sorted, equal to the sorted diagonal of H bit for bit, since
+    # every diagonal sum is exact in whatever order the matvec adds its terms
     + [pytest.param(spec, reference_projector(3, 1), id=f"reference-{spec}")
        for spec in (ChainSpec(3, 1, 6), TreeSpec(3, 1, 3, 2))],
 )
