@@ -48,6 +48,7 @@ from .haar import (
     sample_family,
     sample_family_batch,
     sample_sphere,
+    sphere_blocks,
 )
 from .model import (
     DENSE_DIM_LIMIT,

@@ -41,6 +41,9 @@ _GRAM_TOL = 1e-12
 #: `model.MAX_STATE_DIM` allows a state vector
 MAX_SPHERE_COORDS = 2**24
 
+#: bytes of the row blocks `sphere_blocks` draws a sample in (at least one point each)
+SPHERE_BLOCK_BYTES = 2**23
+
 
 @dataclass(frozen=True)
 class RandomSeed:
@@ -144,7 +147,26 @@ def sample_sphere(n: int, count: int, seed: RandomSeed) -> np.ndarray:
     normalized first Gaussian column.  Refuses n + 1 > MAX_SPHERE_COORDS.
     """
     _check_sphere_dim(n)
-    pts = seed.generator().standard_normal((count, n + 1))
+    return _sphere_rows(n, count, seed.generator())
+
+
+def sphere_blocks(n: int, count: int, seed: RandomSeed):
+    """The points of `sample_sphere(n, count, seed)` as consecutive row blocks.
+
+    Yields arrays of shape (rows, n+1) of about SPHERE_BLOCK_BYTES each, drawn
+    in turn from one generator: the stream is consumed in the order of the
+    one-shot draw, so the blocks stacked are its points bit for bit, while
+    the generator holds one block at a time.
+    """
+    _check_sphere_dim(n)
+    gen = seed.generator()
+    rows = max(1, SPHERE_BLOCK_BYTES // (8 * (n + 1)))
+    for start in range(0, count, rows):
+        yield _sphere_rows(n, min(rows, count - start), gen)
+
+
+def _sphere_rows(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    pts = gen.standard_normal((count, n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts
 

@@ -52,7 +52,7 @@ from .haar import (
     _check_sphere_dim,
     sample_family,
     sample_family_batch,
-    sample_sphere,
+    sphere_blocks,
 )
 from .model import (
     DENSE_DIM_LIMIT,
@@ -633,9 +633,11 @@ def run_cap_table(cfg: ExperimentConfig) -> RunResult:
         lower = capgeom.cap_lower_bound(q) if 0 < delta < 0.25 else None
         mc = stderr = None
         if cfg.mc_samples > 0:
-            pts = sample_sphere(n, cfg.mc_samples, RandomSeed(cfg.master_seed, idx))
-            # distance to the fixed center e_1 is arccos of the first coordinate
-            hits = int(np.sum(pts[:, 0] > math.cos(delta)))
+            # distance to the fixed center e_1 is arccos of the first coordinate;
+            # counted block by block, so a draw holds one block whatever mc_samples is
+            hits = sum(int(np.sum(pts[:, 0] > math.cos(delta)))
+                       for pts in sphere_blocks(n, cfg.mc_samples,
+                                                RandomSeed(cfg.master_seed, idx)))
             mc = hits / cfg.mc_samples
             stderr = math.sqrt(max(mc * (1.0 - mc), 1e-300) / cfg.mc_samples)
         return {"n": n, "delta": delta, "exact": exact, "lower_bound": lower,

@@ -19,17 +19,20 @@ three-term recurrence, H q minus its components on q and on the rows that T
 couples to q (the previous vector, or every kept Ritz vector right after a
 restart), followed by one classical Gram-Schmidt pass against all of V.  A
 vector that this pass cut below 1/sqrt(2) of its norm gets a second pass
-(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  Rayleigh-Ritz
-runs every _RITZ_INTERVAL steps.  The recurrence gives each Ritz pair's
-residual norm as |beta y_last|, where beta couples the newest vector to the
-next and y_last is the Ritz vector's last entry; pairs whose estimates are
-all within tolerance are accepted only after one explicit residual
-||H x - theta x|| each confirms them.  The basis holds at most _MAX_BASIS = 64
-rows, so a step's Gram-Schmidt pass and a Rayleigh-Ritz eigh stay small; a
-full basis is thick-restarted onto a third of its rows, Ritz vectors formed as
-V y with T diagonal on them (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
-A restart keeps each target below the last as its one Ritz vector and the
-Ritz vectors from the last target up.  Rounding lets a converged kernel
+(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  The recurrence
+gives each Ritz pair's residual norm as |beta y_last|, where beta couples the
+newest vector to the next and y_last is the Ritz vector's last entry; pairs
+whose estimates are all within tolerance are accepted only after one explicit
+residual ||H x - theta x|| each confirms them.  Rayleigh-Ritz runs
+_RITZ_INTERVAL steps after the last check, or sooner or later where the
+estimates say they can pass: once two checks have found every target and the
+worst estimate fell between them, the next check comes at the step where that
+fall, extrapolated geometrically, reaches the tolerance.  The basis holds at
+most _MAX_BASIS = 48 rows, so a step's Gram-Schmidt pass and a Rayleigh-Ritz
+eigh stay small; a full basis is thick-restarted onto a third of its rows,
+Ritz vectors formed as V y with T diagonal on them (Wu & Simon, SIAM J.
+Matrix Anal. Appl. 22, 2000).  A restart keeps each target below the last as
+its one Ritz vector and the Ritz vectors from the last target up.  Rounding lets a converged kernel
 reappear in the Krylov space as further Ritz values near 0; keeping them would
 fill the kept window with copies of the kernel, so the restart purges them
 (the purging of Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).
@@ -76,12 +79,15 @@ KERNEL_EPS_PER_TERM = 1e-9
 #: residual tolerance of the iterative solver, relative to the spectral scale
 DEFAULT_RES_RTOL = 1e-9
 
-#: Lanczos steps between Rayleigh-Ritz checks (an eigh of T costs far more than a step)
+#: Lanczos steps between Rayleigh-Ritz checks while the residual estimates
+#: give no schedule (an eigh of T costs far more than a step)
 _RITZ_INTERVAL = 8
 
 #: basis rows of one solve (at most dim): bounds the Gram-Schmidt pass and the
-#: Ritz eigh of every step; a thick restart keeps a third
-_MAX_BASIS = 64
+#: Ritz eigh of every check; a thick restart keeps a third.  Of the caps 32 to 64,
+#: 48 solves d=3 trees of dim 2187 fastest and d=3 chains of that dim within 9%
+#: of the fastest (32, which loses trees)
+_MAX_BASIS = 48
 
 #: a new direction whose norm fell below this share of its input is dropped
 _DROP_RTOL = 1e-10
@@ -101,7 +107,9 @@ class SolverStats:
     iterations: int = 0  # Lanczos steps
     matvec_columns: int = 0  # vectors H was applied to
     restarts: int = 0
+    ritz_checks: int = 0  # Rayleigh-Ritz checks (eigh of T)
     max_residual: float = 0.0  # largest explicit residual of a returned Ritz pair
+    residuals: tuple[float, ...] = ()  # explicit residual of each returned Ritz pair
 
 
 @dataclass(frozen=True)
@@ -232,14 +240,21 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
        random vector orthogonal to V, coupled to nothing, until V spans the
        space.
 
-    Rayleigh-Ritz runs every _RITZ_INTERVAL steps on eigh(T).  A target's
-    residual estimate is |beta y_last|, y_last being its Ritz vector's entry
-    on the newest vector.  The targets are accepted when all are present,
-    every estimate is within tolerance and then every explicit residual
+    Rayleigh-Ritz runs on eigh(T) at step 0, when the basis is full or spans
+    the space, at `max_iter`, and at a scheduled step.  A target's residual
+    estimate is |beta y_last|, y_last being its Ritz vector's entry on the
+    newest vector.  The targets are accepted when all are present, every
+    estimate is within tolerance and then every explicit residual
     ||H x - theta x|| is too, H applied to the targets' Ritz vectors as one
-    (dim, k) block; otherwise the iteration goes on, and after `max_iter`
-    steps it raises a SolverConvergenceError naming its restarts and the
-    largest target residual estimate of the last check.  When the basis holds
+    (dim, k) block.  Otherwise the next check is scheduled: with w the worst
+    estimate in units of the tolerance, a check that found every target with
+    w_prev > w > 1, w_prev that of the last check before it that found every
+    target, schedules the step where the geometric fall from w_prev to w
+    reaches 1, step + max(1, ceil(log(w) / rate)) with rate = log(w_prev / w)
+    per step; every other check schedules step + _RITZ_INTERVAL.  The
+    iteration goes on, and after `max_iter` steps it raises a
+    SolverConvergenceError naming its restarts and the largest target residual
+    estimate of the last check.  When the basis holds
     `max_basis` rows, a thick restart keeps `max_basis // 3` Ritz vectors:
     each target below the last as its one Ritz vector, then the Ritz vectors
     from the last target up, or from the first target up while the last is
@@ -264,6 +279,8 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
 
     q = fresh(0)
     n = lo = 0
+    check = 0  # step of the next scheduled Rayleigh-Ritz check
+    last = None  # (step, w) of the last check that found every target
     for step in range(max_iter + 1):
         V[n] = q
         hq = apply(q)
@@ -279,7 +296,8 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
         full = not spanned and n == cap
         T[n, :n] = 0.0
         T[n, lo] = beta
-        if spanned or full or step % _RITZ_INTERVAL == 0 or step == max_iter:
+        if spanned or full or step == check or step == max_iter:
+            stats.ritz_checks += 1
             theta, y = np.linalg.eigh(T[:n, :n], UPLO="L")
             want = targets(theta)
             found = want[want < n]
@@ -296,6 +314,13 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
                     f"no convergence after {max_iter} iterations (dim={dim}): "
                     f"{stats.restarts} restarts, {found.size} of {want.size} targets "
                     f"found, largest residual estimate {worst} against tolerance {tol:.3e}")
+            check = step + _RITZ_INTERVAL
+            if found.size == want.size:
+                w = float(estimate.max()) / tol
+                if last is not None and last[1] > w > 1.0:
+                    rate = math.log(last[1] / w) / (step - last[0])
+                    check = step + max(1, math.ceil(math.log(w) / rate))
+                last = step, w
         if full:
             # thick restart: each target below the last as its one Ritz vector,
             # then Ritz vectors from the last target up (from the first target
@@ -311,6 +336,7 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
             n, lo = k, 0
             stats.restarts += 1
     stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
+    stats.residuals += tuple(res.tolist())
     return theta[found]
 
 
@@ -328,7 +354,7 @@ def smallest_eig_above(
     rule `_ground_and_gap(threshold)` from a random start (substream 2 of
     `seed`) returns the ground and the lowest level above its floor; the
     result is the lowest of them above the threshold.  Returns None only when
-    the basis spans the whole space, which needs dim <= _MAX_BASIS = 64,
+    the basis spans the whole space, which needs dim <= _MAX_BASIS = 48,
     without an eigenvalue above the threshold, as for a zero operator.
     """
     rng = (seed or RandomSeed()).generator(substream=2)

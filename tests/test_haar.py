@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import gapcert.haar as haar
 from gapcert import (
     CapQuery,
     InvalidDimensionError,
@@ -19,6 +20,7 @@ from gapcert import (
     sample_family,
     sample_family_batch,
     sample_sphere,
+    sphere_blocks,
 )
 
 
@@ -223,3 +225,20 @@ def test_cap_frequency_matches_exact_measure():
     p = cap_measure_exact(CapQuery(3, 2.0 * math.asin(0.25)))
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(freq - p) < 4.0 * se
+
+
+@pytest.mark.parametrize("n,count,block_bytes", [(3, 1000, 8 * 4 * 37), (40, 257, 8 * 41 * 16),
+                                                 (999, 5, 8 * 500)])
+def test_sphere_blocks_are_the_one_shot_draw(monkeypatch, n, count, block_bytes):
+    # blocks of 37 and 16 points with a short last block, and one point per
+    # block when a point outgrows the block size: stacked, they are the
+    # one-shot draw bit for bit, so cap-table's hit counts do not change
+    monkeypatch.setattr(haar, "SPHERE_BLOCK_BYTES", block_bytes)
+    seed = RandomSeed(41, n)
+    blocks = list(sphere_blocks(n, count, seed))
+    rows = max(1, block_bytes // (8 * (n + 1)))
+    assert [b.shape[0] for b in blocks] == [min(rows, count - i) for i in range(0, count, rows)]
+    one_shot = sample_sphere(n, count, seed)
+    assert np.array_equal(np.concatenate(blocks), one_shot)
+    cos = math.cos(1.2)
+    assert sum(int(np.sum(b[:, 0] > cos)) for b in blocks) == int(np.sum(one_shot[:, 0] > cos))

@@ -8,10 +8,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import gapcert.haar as haar
 import gapcert.harness as harness
 from gapcert import (
     ConfigError,
@@ -405,6 +407,25 @@ def test_cap_table_rows():
     row = rows[(3, 0.2)]
     assert row["exact"] > row["lower_bound"]
     assert abs(row["monte_carlo"] - row["exact"]) < 6.0 * max(row["std_err"], 1e-4)
+
+
+def test_cap_table_draw_stays_a_few_blocks():
+    # 100000 points on S^199 are 160 MB at once; the hits are counted over
+    # row blocks of haar.SPHERE_BLOCK_BYTES (8 MB): the block being drawn, the
+    # last one and a norm temporary make about three
+    cfg = load_config({"mode": "cap-table", "n_list": [199], "delta_list": [1.4],
+                       "mc_samples": 100_000, "master_seed": 4})
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        row, = run_cap_table(cfg).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 * haar.SPHERE_BLOCK_BYTES
+    assert abs(row["monte_carlo"] - row["exact"]) < 6.0 * row["std_err"]
 
 
 def test_certify_one_from_seed_and_file(tmp_path):

@@ -418,8 +418,11 @@ def test_gap_report_solver_stats():
     assert stats == b.solver
     assert stats.iterations > 0 and stats.matvec_columns > stats.iterations
     assert stats.restarts >= 1
+    # the residual estimates schedule the checks: fewer than one per _RITZ_INTERVAL steps
+    assert 0 < stats.ritz_checks < stats.iterations // spectral._RITZ_INTERVAL
     # Ritz values lie in [0, ||H||] and ||H|| <= n_terms, which bounds the spectral scale
     assert 0.0 < stats.max_residual <= spectral.DEFAULT_RES_RTOL * spec.n_terms
+    assert len(stats.residuals) == 2 and max(stats.residuals) == stats.max_residual
     dense = gap_report(spec, p, method="dense")
     assert dense.solver is None
 
@@ -486,3 +489,24 @@ def test_restart_drops_repeated_kernel_copies():
     assert stats.restarts >= 1
     assert abs(ground - dense.ground_energy) < 1e-8
     assert abs(above - dense.gap) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "spec,seed",
+    [pytest.param(TreeSpec(3, 1, 2, 3), RandomSeed(12173, 0), id="tree-krylov-173"),
+     pytest.param(ChainSpec(3, 1, 7), RandomSeed(11279, 0), id="chain-krylov-279")],
+)
+def test_hard_pool_inputs_at_the_default_cap(spec, seed):
+    # the benchmark pools' hardest inputs, solved as gap_report solves them:
+    # tree-krylov block 173 has a gap of 1.77e-7 above 946 kernel states and
+    # took the most steps of its pool (624), chain-krylov block 279 a kernel
+    # of 987 states
+    if isinstance(spec, TreeSpec):
+        p = _near_good(seed)
+    else:
+        p = projector_from_family(sample_family(3, 1, seed))
+    dense = gap_report(spec, p, method="dense")
+    iterative = gap_report(spec, p, method="iterative", seed=seed)
+    assert abs(iterative.gap - dense.gap) < 1e-8
+    assert abs(iterative.ground_energy - dense.ground_energy) < 1e-8
+    assert iterative.solver.iterations < 1000  # max_iter is 3000
