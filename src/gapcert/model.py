@@ -280,12 +280,12 @@ def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
     For d <= _PAIR_MAX_D the edges are taken in their order and each one that
     shares a site with the next forms a block with it: a chain pairs bonds
     (j, j+1), (j+1, j+2), a breadth-first tree sibling edges (v, c1), (v, c2).
-    Every other edge is a block of its own.  A block is (M, shape, perm): M is
-    the sum of its terms on its sites in ascending order, P itself for one
-    edge and `_edge_dense` of the two terms for a pair.  On adjacent sites
-    ``shape`` is (left, M's dimension, rest) and ``perm`` is None; otherwise
-    ``shape`` puts each block site on an axis of its own and ``perm`` moves
-    those axes to the front.
+    Every other edge is a block of its own.  A block is (M, MT, shape, perm):
+    M is the sum of its terms on its sites in ascending order, P itself for
+    one edge and `_edge_dense` of the two terms for a pair.  On adjacent sites
+    MT is M^T in C order, ``shape`` is (left, M's dimension, rest) and
+    ``perm`` is None; otherwise MT is None, ``shape`` puts each block site on
+    an axis of its own and ``perm`` moves those axes to the front.
     """
     d = P.d
     dim = _state_dim(d, sites)
@@ -298,7 +298,8 @@ def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
         local = [(own.index(a), own.index(b)) for a, b in group]
         M = P.matrix if n == 1 else _edge_dense(P, len(own), local)
         if own[-1] - own[0] == len(own) - 1:
-            blocks.append((M, (d ** own[0], M.shape[0], d ** (sites - own[-1] - 1)), None))
+            shape = (d ** own[0], M.shape[0], d ** (sites - own[-1] - 1))
+            blocks.append((M, np.ascontiguousarray(M.T), shape, None))
             continue
         shape, front, back, lo = [], [], [], 0
         for s in own:
@@ -311,7 +312,7 @@ def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
         if lo < sites:
             back.append(len(shape))
             shape.append(d ** (sites - lo))
-        blocks.append((M, tuple(shape), tuple(front + back)))
+        blocks.append((M, None, tuple(shape), tuple(front + back)))
     return dim, blocks
 
 
@@ -321,9 +322,11 @@ def _edge_matvec(plan, x: np.ndarray) -> np.ndarray:
     x may be a vector of dimension d**sites or a (d**sites, m) block.  Each
     block is one product with its matrix M: over the block's sites, on plain
     reshapes when they are adjacent, after a copy that moves them to the front
-    otherwise.  Blocks are added in the plan's order, so the result is
-    reproducible; for d > _PAIR_MAX_D every block is one edge, added edge by
-    edge.
+    otherwise; the last sites of a vector are one row-major product by MT.
+    When the first block's sites are adjacent its product is the result so
+    far; every other block is added to the result in the plan's order, so the
+    result is reproducible.  For d > _PAIR_MAX_D every block is one edge,
+    added edge by edge.  A plan without blocks gives zeros.
     """
     dim, blocks = plan
     x = np.asarray(x, dtype=float)
@@ -332,21 +335,25 @@ def _edge_matvec(plan, x: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError(f"state dimension {x.shape[0]} does not match {dim}")
     xb = x.reshape(dim, -1)
     m = xb.shape[1]
-    y = np.zeros(xb.shape)  # C order, so that the views of y below never copy
-    for M, shape, perm in blocks:
+    y = None  # C order, so that the views of y below never copy
+    for M, MT, shape, perm in blocks:
         n = M.shape[0]
         if perm is None and shape[2] * m == 1:  # the last sites of a vector: one 2-D product
-            ye = y.reshape(shape[0], n)
-            ye += xb.reshape(shape[0], n) @ M.T
+            shape = (shape[0], n)
+            z = xb.reshape(shape) @ MT
         elif perm is None:  # adjacent sites: one product per left index, on plain reshapes
             shape = (shape[0], n, shape[2] * m)
-            ye = y.reshape(shape)
-            ye += M @ xb.reshape(shape)
+            z = M @ xb.reshape(shape)
         else:  # the block's sites move to the front (a copy) for one wide product
             shape, perm = shape + (m,), perm + (len(shape),)
-            ye = y.reshape(shape).transpose(perm)
-            xe = xb.reshape(shape).transpose(perm).reshape(n, -1)
-            ye += (M @ xe).reshape(ye.shape)
+            z = M @ xb.reshape(shape).transpose(perm).reshape(n, -1)
+        if y is None and perm is None:  # the first block writes y: a product in y's order
+            y = z.reshape(xb.shape)
+            continue
+        y = np.zeros(xb.shape) if y is None else y
+        ye = y.reshape(shape) if perm is None else y.reshape(shape).transpose(perm)
+        ye += z.reshape(ye.shape)
+    y = np.zeros(xb.shape) if y is None else y  # no blocks: H = 0
     return y.reshape(dim) if single else y
 
 

@@ -9,26 +9,32 @@ Two routes are provided and cross-validated in the test suite:
   G = B^T B and adds the dim - m zeros of the kernel that B leaves; H is
   assembled and solved when m >= dim.  A diagonal P gives a diagonal H,
   read off as H 1 from the matvec and sorted;
-* a matrix-free thick-restart Lanczos iteration with full reorthogonalization
-  (the iterative path of `gap_report`, and `smallest_eig_above`).
+* a matrix-free thick-restart Lanczos iteration with partial
+  reorthogonalization (the iterative path of `gap_report`, and
+  `smallest_eig_above`).
 
 The Lanczos core expands a single vector per step.  It stores the basis V
 (row-major, one row per vector) and the projected matrix T, and no images
 H V: the image of the newest vector q lives for one step.  A step is the
 three-term recurrence, H q minus its components on q and on the rows that T
 couples to q (the previous vector, or every kept Ritz vector right after a
-restart), followed by one classical Gram-Schmidt pass against all of V.  A
-vector that this pass cut below 1/sqrt(2) of its norm gets a second pass
-(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  The recurrence
-gives each Ritz pair's residual norm as |beta y_last|, where beta couples the
-newest vector to the next and y_last is the Ritz vector's last entry; pairs
-whose estimates are all within tolerance are accepted only after one explicit
-residual ||H x - theta x|| each confirms them.  Rayleigh-Ritz runs
+restart).  A classical Gram-Schmidt pass against all of V follows only on the
+steps that owe it, and a vector that this pass cut below 1/sqrt(2) of its norm
+gets a second pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
+The other steps update a scalar bound on the new vector's loss of
+orthogonality to V, which the full pass resets to the unit roundoff; once the
+bound passes _REORTH_TOL, this step and the next owe the pass, as in the
+partial reorthogonalization of Simon (Math. Comp. 42, 1984).  `SolverStats`
+counts the full passes.  The recurrence gives each Ritz pair's residual norm
+as |beta y_last|, where beta couples the newest vector to the next and y_last
+is the Ritz vector's last entry; pairs whose estimates are all within
+tolerance are accepted only after one explicit residual ||H x - theta x||
+each confirms them.  Rayleigh-Ritz runs
 _RITZ_INTERVAL steps after the last check, or sooner or later where the
 estimates say they can pass: once two checks have found every target and the
 worst estimate fell between them, the next check comes at the step where that
 fall, extrapolated geometrically, reaches the tolerance.  The basis holds at
-most _MAX_BASIS = 48 rows, so a step's Gram-Schmidt pass and a Rayleigh-Ritz
+most _MAX_BASIS = 48 rows, so a full Gram-Schmidt pass and a Rayleigh-Ritz
 eigh stay small; a full basis is thick-restarted onto a third of its rows,
 Ritz vectors formed as V y with T diagonal on them (Wu & Simon, SIAM J.
 Matrix Anal. Appl. 22, 2000).  A restart keeps each target below the last as
@@ -95,6 +101,12 @@ _DROP_RTOL = 1e-10
 #: a vector that one Gram-Schmidt pass cut below this share of its norm gets a second pass
 _DGKS_RATIO = 2**-0.5
 
+#: a step skips the full Gram-Schmidt pass while the bound on the new vector's
+#: loss of orthogonality stays at or below this
+_REORTH_TOL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
+
 
 def default_kernel_threshold(n_terms: int) -> float:
     return KERNEL_EPS_PER_TERM * max(1, n_terms)
@@ -108,6 +120,7 @@ class SolverStats:
     matvec_columns: int = 0  # vectors H was applied to
     restarts: int = 0
     ritz_checks: int = 0  # Rayleigh-Ritz checks (eigh of T)
+    full_passes: int = 0  # steps that ran the full Gram-Schmidt pass against the basis
     max_residual: float = 0.0  # largest explicit residual of a returned Ritz pair
     residuals: tuple[float, ...] = ()  # explicit residual of each returned Ritz pair
 
@@ -213,7 +226,7 @@ def _ground_and_gap(threshold: float):
 
 def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: int = 3000,
              max_basis: int = _MAX_BASIS, stats: SolverStats | None = None) -> np.ndarray:
-    """Thick-restart Lanczos with full reorthogonalization, from a random start.
+    """Thick-restart Lanczos with partial reorthogonalization, from a random start.
 
     The start vector is drawn from `rng`.  `targets(theta)` picks the wanted
     Ritz values among the ascending `theta` as a strictly ascending index
@@ -231,14 +244,29 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
     2. subtracts from H q its components on q (alpha) and on the rows that T
        couples to q: the previous vector, or every kept Ritz vector right
        after a restart (an arrowhead);
-    3. makes one classical Gram-Schmidt pass against all of V, whose
-       coefficient on q is added to alpha, and a second pass only when this
-       pass cut the vector below 1/sqrt(2) of its norm (DGKS);
+    3. makes the full pass, when the step owes it: one classical
+       Gram-Schmidt pass against all of V, whose coefficient on q is added to
+       alpha, and a second pass only when this pass cut the vector below
+       1/sqrt(2) of its norm (DGKS).  Steps 0 and 1 owe it, as do the two
+       steps after each thick restart, from the arrowhead row on, and a step
+       whose recurrence left less than _DROP_RTOL of ||H q||.  Every other
+       step updates m, a bound on the largest overlap of the next vector with
+       V, from m and m_prev of the vector before (Simon's omega recurrence
+       reduced to one scalar per vector, and larger than it):
+
+           m_next = ((2 b + max(a_hi - alpha, alpha - a_lo)) m
+                     + beta_prev m_prev + eps ||H q||) / beta,
+
+       b being the largest coupling so far (each beta, and each |T[k, i]| of
+       a restart's arrowhead) and [a_lo, a_hi] the range of the alphas and
+       kept Ritz values so far.  Once m_next passes _REORTH_TOL, this step
+       and the next owe the full pass; the pass sets the bound of its vector
+       to eps.  `stats.full_passes` counts the steps that made it;
     4. normalizes the result into the next vector; its norm beta is the next
        vector's coupling to q in T.  A result below _DROP_RTOL of ||H q||
-       means the Krylov space is invariant: the iteration goes on from a new
-       random vector orthogonal to V, coupled to nothing, until V spans the
-       space.
+       after the full pass means the Krylov space is invariant: the
+       iteration goes on from a new random vector orthogonal to V, coupled to
+       nothing, until V spans the space.
 
     Rayleigh-Ritz runs on eigh(T) at step 0, when the basis is full or spans
     the space, at `max_iter`, and at a scheduled step.  A target's residual
@@ -261,7 +289,8 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
     not yet among the Ritz values.  Kernel leakage below a threshold and
     repeated copies of a converged level below the last target are thus
     dropped.  The kept vectors are V[:k] = y^T V, with T diagonal on them and
-    coupled to the next vector by y_last beta.
+    coupled to the next vector by y_last beta; they keep the orthogonality of
+    the rows they are formed from and are not orthonormalized again.
     """
     stats = SolverStats() if stats is None else stats
     cap = min(dim, max_basis)
@@ -281,13 +310,34 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
     n = lo = 0
     check = 0  # step of the next scheduled Rayleigh-Ritz check
     last = None  # (step, w) of the last check that found every target
+    owed = 2  # steps that owe a full pass: the first two, and two after each restart
+    m = m_prev = _EPS  # loss-of-orthogonality bounds of the newest vector and the one before
+    b, a_lo, a_hi = 0.0, math.inf, -math.inf  # largest coupling; range of alpha and kept theta
     for step in range(max_iter + 1):
         V[n] = q
         hq = apply(q)
-        T[n, n] = q @ hq
+        alpha = T[n, n] = q @ hq
+        ref = math.sqrt(hq @ hq)
         r = hq - T[n, lo:n + 1] @ V[lo:n + 1]
-        q, c, beta = _orthonormalize(r, V[:n + 1], math.sqrt(hq @ hq))
-        T[n, n] += c[n]
+        if not owed:
+            beta_prev, beta = beta, math.sqrt(r @ r)
+            if beta <= _DROP_RTOL * ref:
+                owed = 1  # the drop test fires: a full pass decides
+            else:
+                bound = ((2.0 * b + max(a_hi - alpha, alpha - a_lo)) * m
+                         + beta_prev * m_prev + _EPS * ref) / beta
+                if bound > _REORTH_TOL:
+                    owed = 2  # this step and the next (Simon)
+                else:
+                    q, m, m_prev = r / beta, bound, m
+        if owed:
+            q, c, beta = _orthonormalize(r, V[:n + 1], ref)
+            alpha += c[n]
+            T[n, n] = alpha
+            m, m_prev = _EPS, m
+            owed -= 1
+            stats.full_passes += 1
+        b, a_lo, a_hi = max(b, beta), min(a_lo, alpha), max(a_hi, alpha)
         lo, n = n, n + 1
         stats.iterations += 1
         if q is None:
@@ -335,6 +385,9 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
             T[:k, :k] = np.diag(theta[kept])
             n, lo = k, 0
             stats.restarts += 1
+            owed = 2
+            b = max(b, float(np.abs(T[k, :k]).max()))
+            a_lo, a_hi = min(a_lo, theta[kept[0]]), max(a_hi, theta[kept[-1]])
     stats.max_residual = max(stats.max_residual, float(res.max(initial=0.0)))
     stats.residuals += tuple(res.tolist())
     return theta[found]

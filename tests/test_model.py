@@ -226,7 +226,7 @@ def _site_axes_oracle(p_matrix, d, sites, edges, x):
 
 def _block_sizes(p, sites, edges):
     """Matrix dimension of each block of the matvec's plan, in order."""
-    return [M.shape[0] for M, _, _ in model._edge_plan(p, sites, edges)[1]]
+    return [M.shape[0] for M, _, _, _ in model._edge_plan(p, sites, edges)[1]]
 
 
 @pytest.mark.parametrize("d,L", [(2, 2), (2, 5), (2, 6), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4)])

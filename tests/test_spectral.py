@@ -137,6 +137,29 @@ def test_smallest_eig_above_sees_a_degenerate_level_once():
     assert abs((got - 0.3) - 0.2) < 1e-9
 
 
+def test_skipped_passes_keep_the_basis_orthonormal():
+    # without restarts every basis row is a vector the solve handed to matvec;
+    # steps that skip the full pass keep it orthonormal to the pass tolerance
+    p = random_projector(3, 1, master=71)
+    spec = ChainSpec(3, 1, 6)
+    inner = hamiltonian_matvec(spec, p)
+    rows = []
+
+    def matvec(x):
+        if x.ndim == 1:
+            rows.append(x.copy())
+        return inner(x)
+
+    stats = spectral.SolverStats()
+    spectral._lanczos(matvec, spec.dim, RandomSeed(3, 1).generator(substream=1),
+                      spectral._ground_and_gap(default_kernel_threshold(spec.n_terms)),
+                      max_basis=400, stats=stats)
+    assert stats.restarts == 0 and 0 < stats.full_passes < stats.iterations // 2
+    q = np.array(rows)
+    assert len(rows) == stats.iterations
+    assert np.abs(q @ q.T - np.eye(len(rows))).max() <= 1e-10
+
+
 def test_solve_holds_one_basis():
     # the basis is the one (cap, dim) array of a solve, and a restart forms its
     # kept rows in one (cap // 3, dim) block: the images H V are not stored
@@ -420,6 +443,8 @@ def test_gap_report_solver_stats():
     assert stats.restarts >= 1
     # the residual estimates schedule the checks: fewer than one per _RITZ_INTERVAL steps
     assert 0 < stats.ritz_checks < stats.iterations // spectral._RITZ_INTERVAL
+    # the bound on lost orthogonality lets most steps skip the full Gram-Schmidt pass
+    assert 0 < stats.full_passes < stats.iterations // 2
     # Ritz values lie in [0, ||H||] and ||H|| <= n_terms, which bounds the spectral scale
     assert 0.0 < stats.max_residual <= spectral.DEFAULT_RES_RTOL * spec.n_terms
     assert len(stats.residuals) == 2 and max(stats.residuals) == stats.max_residual
