@@ -5,15 +5,25 @@ Both lattices are edge lists: a chain of L sites is the path graph with bonds
 one dense assembler of H and one assembler of the Gram matrix of the
 interaction ranges (`range_gram`) serve both.
 
+An edge (a, b) is oriented: P's first tensor factor acts on site a, the
+second on site b, in either order of a and b.  The lattices list their edges
+with a < b; a reversed edge (a > b) is the term SWAP P SWAP on (b, a).
+
 The matvec applies H as a sequence of blocks, planned once per Hamiltonian by
 `hamiltonian_matvec`.  For d <= 4, two consecutive edges that share a site
 (the bonds (j, j+1), (j+1, j+2) of a chain, the sibling edges (v, c1),
 (v, c2) of a tree) are one block: the d^3 x d^3 matrix of their summed terms,
 applied in one product.  That is d^3 flops per state entry against 2 d^2 for
 the two edges alone, but one pass over the state against two.  For d >= 5
-the flops dominate, and every block is one edge.
+the flops dominate, and every block is one edge.  A block on adjacent sites
+is a product on plain reshapes of the state; any other block first copies its
+sites to the front.  The eigensolver therefore applies H on a site order of
+its own (`_site_order`, `_solver_plan`), one on which every block lies on
+adjacent sites where a simple rule finds one, as for the sibling blocks of a
+3-level binary tree; its edges keep their orientation and may come reversed.
+The relabeling is a permutation similarity, so the spectrum is unchanged.
 
-Basis convention (fixed everywhere in this package):
+Basis convention (of every public routine in this package):
 
 * pair basis: the product state with 1-based site labels (i, j) maps to the
   0-based flat index ``(i-1)*d + (j-1)`` (lexicographic);
@@ -26,6 +36,10 @@ Basis convention (fixed everywhere in this package):
   (k**L - 1)/(k - 1) vertices.  On every edge the interaction's first tensor
   factor acts on the parent (smaller index), the second on the child; on a path
   this reproduces the chain convention.
+
+`hamiltonian_matvec`, `dense_hamiltonian`, `range_gram` and the certificate
+use these conventions; only the iterative solver's states are in its own site
+order.
 """
 
 from __future__ import annotations
@@ -198,7 +212,8 @@ def _state_dim(d: int, sites: int) -> int:
 
 class _Lattice:
     """Checks and sizes shared by lattices with fields d, r and properties
-    ``sites`` and ``edges`` (pairs (a, b) with a < b)."""
+    ``sites`` and ``edges``: oriented pairs (a, b), P's first factor on a,
+    which both lattices list with a < b."""
 
     def __post_init__(self):
         sites = self.sites  # a tree's vertex count checks k and L first
@@ -274,29 +289,43 @@ def _check_projector_dim(P: LocalProjector, d: int):
 _PAIR_MAX_D = 4
 
 
-def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
-    """The state dimension and the blocks `_edge_matvec` applies, in order.
+def _edge_blocks(d: int, edges) -> list[list[tuple[int, int]]]:
+    """The edges of each block of the plan, in order.
 
     For d <= _PAIR_MAX_D the edges are taken in their order and each one that
     shares a site with the next forms a block with it: a chain pairs bonds
     (j, j+1), (j+1, j+2), a breadth-first tree sibling edges (v, c1), (v, c2).
-    Every other edge is a block of its own.  A block is (M, MT, shape, perm):
-    M is the sum of its terms on its sites in ascending order, P itself for
-    one edge and `_edge_dense` of the two terms for a pair.  On adjacent sites
-    MT is M^T in C order, ``shape`` is (left, M's dimension, rest) and
-    ``perm`` is None; otherwise MT is None, ``shape`` puts each block site on
-    an axis of its own and ``perm`` moves those axes to the front.
+    Every other edge is a block of its own.
     """
-    d = P.d
-    dim = _state_dim(d, sites)
     blocks, i = [], 0
     while i < len(edges):
         pair = d <= _PAIR_MAX_D and i + 1 < len(edges) and set(edges[i]) & set(edges[i + 1])
         n = 2 if pair else 1
-        group, i = edges[i:i + n], i + n
+        blocks.append(edges[i:i + n])
+        i += n
+    return blocks
+
+
+def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
+    """The state dimension and the blocks `_edge_matvec` applies, in order.
+
+    The blocks are the edge groups of `_edge_blocks`.  An edge (a, b) puts P's
+    first tensor factor on site a, also when a > b.  A block is
+    (M, MT, shape, perm): M is the sum of its terms on its sites in ascending
+    order, P itself for one edge (a, b) with a < b and `_edge_dense` of its
+    terms otherwise (a reversed edge (b, a) is SWAP P SWAP on (a, b)).  On
+    adjacent sites MT is M^T in C order, ``shape`` is (left, M's dimension,
+    rest) and ``perm`` is None; otherwise MT is None, ``shape`` puts each
+    block site on an axis of its own and ``perm`` moves those axes to the
+    front.
+    """
+    d = P.d
+    dim = _state_dim(d, sites)
+    blocks = []
+    for group in _edge_blocks(d, edges):
         own = sorted(set().union(*group))
         local = [(own.index(a), own.index(b)) for a, b in group]
-        M = P.matrix if n == 1 else _edge_dense(P, len(own), local)
+        M = P.matrix if local == [(0, 1)] else _edge_dense(P, len(own), local)
         if own[-1] - own[0] == len(own) - 1:
             shape = (d ** own[0], M.shape[0], d ** (sites - own[-1] - 1))
             blocks.append((M, np.ascontiguousarray(M.T), shape, None))
@@ -314,6 +343,40 @@ def _edge_plan(P: LocalProjector, sites: int, edges) -> tuple[int, list[tuple]]:
             shape.append(d ** (sites - lo))
         blocks.append((M, None, tuple(shape), tuple(front + back)))
     return dim, blocks
+
+
+def _site_order(d: int, sites: int, edges) -> list[int]:
+    """A site order on which every block of `_edge_blocks` lies on adjacent sites.
+
+    Entry i is the site that goes to place i.  When the blocks' overlap graph
+    (two blocks meet when they share a site) is a path and each block shares
+    exactly one site with the next, the blocks are laid end to end, starting
+    from the end block that comes first in plan order: each block contributes
+    its sites not shared with a neighbour in ascending order, then the site it
+    shares with the next block, which the next block then starts with.  For
+    the k=2, L=3 tree, blocks {0, 1, 2}, {1, 3, 4}, {2, 5, 6}, that is
+    3, 4, 1, 0, 2, 5, 6.  Otherwise, or when the blocks miss a site, it is the
+    lattice's own order 0, ..., sites-1, which a chain's blocks also give.
+    """
+    own = list(range(sites))
+    blocks = [set().union(*group) for group in _edge_blocks(d, edges)]
+    meets = [[j for j, other in enumerate(blocks) if j != i and block & other]
+             for i, block in enumerate(blocks)]
+    ends = [i for i, m in enumerate(meets) if len(m) <= 1]
+    if not ends or any(len(m) > 2 for m in meets):
+        return own
+    walk = [ends[0]]
+    while len(walk) < len(blocks):
+        ahead = [j for j in meets[walk[-1]] if j not in walk]
+        if len(ahead) != 1 or len(blocks[walk[-1]] & blocks[ahead[0]]) != 1:
+            return own  # not connected, or two blocks share more than one site
+        walk.append(ahead[0])
+    order = []
+    for t, i in enumerate(walk):
+        before = blocks[walk[t - 1]] & blocks[i] if t else set()
+        after = blocks[walk[t + 1]] & blocks[i] if t + 1 < len(walk) else set()
+        order += sorted(blocks[i] - before - after) + sorted(after)
+    return order if sorted(order) == own else own
 
 
 def _edge_matvec(plan, x: np.ndarray) -> np.ndarray:
@@ -358,18 +421,25 @@ def _edge_matvec(plan, x: np.ndarray) -> np.ndarray:
 
 
 def _edge_dense(P: LocalProjector, sites: int, edges) -> np.ndarray:
-    """Dense sum over edges (a, b) of P on sites a and b, in the matvec's view."""
+    """Dense sum over edges (a, b) of P on sites a and b, in the matvec's view.
+
+    P's first tensor factor acts on site a: on a reversed edge (a > b) the
+    term is SWAP P SWAP on sites b < a, the pair-basis tensor of P with its
+    two sites exchanged.
+    """
     d = P.d
     dim = d**sites
     h = np.zeros((dim, dim))
     pt = P.matrix.reshape(d, d, d, d)
     for a, b in edges:
+        term = pt if a < b else pt.transpose(1, 0, 3, 2)
+        a, b = min(a, b), max(a, b)
         left, mid, right = d**a, d ** (b - a - 1), d ** (sites - b - 1)
         shape = (left, d, mid, d, right)
         ia = np.arange(left)[:, None, None]
         im = np.arange(mid)[None, :, None]
         ib = np.arange(right)[None, None, :]
-        h.reshape(shape + shape)[ia, :, im, :, ib, ia, :, im, :, ib] += pt
+        h.reshape(shape + shape)[ia, :, im, :, ib, ia, :, im, :, ib] += term
     return h
 
 
@@ -392,7 +462,8 @@ def tree_matvec(P: LocalProjector, k: int, L: int, x: np.ndarray, *, plan=None) 
 
     x may be a vector of dimension d**V or a (d**V, m) block.  The projector's
     first tensor factor acts on the parent vertex, the second on the child.
-    ``plan`` is as for `chain_matvec`.
+    ``plan`` is as for `chain_matvec`; the solver's plan (`_solver_plan`) is
+    that of the tree on another site order, and x is then in that order.
     """
     if plan is None:
         plan = _edge_plan(P, tree_vertex_count(k, L), tree_edges(k, L))
@@ -502,15 +573,37 @@ def range_gram(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
     return _edge_gram(_range_factor(P), spec.sites, spec.edges)
 
 
+def _planned_matvec(spec: ChainSpec | TreeSpec, P: LocalProjector, plan):
+    """A closure applying the Hamiltonian that ``plan`` planned to vectors or blocks."""
+    # by keyword, and through the module's names, so that a wrapper patched
+    # over chain_matvec or tree_matvec sees the state as the last argument
+    if isinstance(spec, ChainSpec):
+        return lambda x: chain_matvec(P, spec.L, x, plan=plan)
+    return lambda x: tree_matvec(P, spec.k, spec.L, x, plan=plan)
+
+
 def hamiltonian_matvec(spec: ChainSpec | TreeSpec, P: LocalProjector):
     """Return a closure applying the Hamiltonian of ``spec`` to vectors or blocks.
 
     The blocks of the matvec are planned here, once per Hamiltonian.
     """
     _check_projector_dim(P, spec.d)
-    plan = _edge_plan(P, spec.sites, spec.edges)
-    # by keyword, and through the module's names, so that a wrapper patched
-    # over chain_matvec or tree_matvec sees the state as the last argument
-    if isinstance(spec, ChainSpec):
-        return lambda x: chain_matvec(P, spec.L, x, plan=plan)
-    return lambda x: tree_matvec(P, spec.k, spec.L, x, plan=plan)
+    return _planned_matvec(spec, P, _edge_plan(P, spec.sites, spec.edges))
+
+
+def _solver_plan(spec: ChainSpec | TreeSpec, P: LocalProjector):
+    """The plan of the Hamiltonian of ``spec`` with its sites relabeled to
+    `_site_order`, which keeps each edge's orientation.
+
+    The relabeling is a permutation similarity of H, so the spectrum is
+    that of `hamiltonian_matvec`'s H; only the coordinates of a state move.
+    A chain keeps its own order, and this is `hamiltonian_matvec`'s plan.
+    """
+    _check_projector_dim(P, spec.d)
+    place = {s: i for i, s in enumerate(_site_order(P.d, spec.sites, spec.edges))}
+    return _edge_plan(P, spec.sites, [(place[a], place[b]) for a, b in spec.edges])
+
+
+def _solver_matvec(spec: ChainSpec | TreeSpec, P: LocalProjector):
+    """The closure the iterative eigensolver applies: `_solver_plan`'s Hamiltonian."""
+    return _planned_matvec(spec, P, _solver_plan(spec, P))

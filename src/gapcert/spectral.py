@@ -71,6 +71,7 @@ from .model import (
     LocalProjector,
     TreeSpec,
     _check_dense,
+    _solver_matvec,
     dense_hamiltonian,
     hamiltonian_matvec,
     range_gram,
@@ -429,7 +430,9 @@ def gap_report(
     method: "dense" (full spectrum, refuses dim > DENSE_DIM_LIMIT),
     "iterative" (matrix-free), or "auto" (dense at or below AUTO_DENSE_LIMIT).
     The dense levels come from `_dense_levels`; the iterative path runs one
-    Lanczos solve from a random start (substream 1 of `seed`).  Both pick the
+    Lanczos solve from a random start (substream 1 of `seed`), on the
+    solver's site order (`_solver_matvec`): a permutation similarity of H that
+    moves only the coordinates of the start vector.  Both pick the
     ground energy and the gap level with `_ground_and_gap`: the lowest value,
     and the lowest above the kernel threshold.  If the ground energy itself
     exceeds the threshold the instance is flagged non-frustration-free, its
@@ -469,8 +472,7 @@ def gap_report(
     else:
         rng = (seed or RandomSeed()).generator(substream=1)
         stats = SolverStats()
-        theta = _lanczos(hamiltonian_matvec(spec, P), dim, rng, _ground_and_gap(thr),
-                         stats=stats)
+        theta = _lanczos(_solver_matvec(spec, P), dim, rng, _ground_and_gap(thr), stats=stats)
         kd = None
     ground = float(theta[0])
     ff = ground <= thr

@@ -47,38 +47,46 @@ def kron_chain_oracle(p_matrix, d, L):
     return h
 
 
-def kron_tree_oracle(p_matrix, d, k, L):
-    """Elementary-matrix Kronecker assembly of the tree Hamiltonian (test oracle).
+def kron_edge_oracle(q_matrix, d, sites, first, second):
+    """Elementary-matrix Kronecker assembly of one edge term (test oracle): the
+    d^2 x d^2 matrix q with its first tensor factor on site ``first`` and its
+    second on site ``second``, in either order, and the identity elsewhere.
 
-    Each edge operator is built as a sum over d^4 elementary single-site
-    factors, independent of the production tensor routines.
+    The term is built as a sum over d^4 elementary single-site factors,
+    independent of the production tensor routines.
     """
+    qt = q_matrix.reshape(d, d, d, d)
+    h = np.zeros((d**sites, d**sites))
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                for e in range(d):
+                    coeff = qt[a, b, c, e]
+                    if coeff == 0.0:
+                        continue
+                    term = np.ones((1, 1))
+                    for site in range(sites):
+                        if site == first:
+                            factor = np.zeros((d, d))
+                            factor[a, c] = 1.0
+                        elif site == second:
+                            factor = np.zeros((d, d))
+                            factor[b, e] = 1.0
+                        else:
+                            factor = np.eye(d)
+                        term = np.kron(term, factor)
+                    h += coeff * term
+    return h
+
+
+def kron_tree_oracle(p_matrix, d, k, L):
+    """Kronecker assembly of the tree Hamiltonian, edge by edge (test oracle)."""
     from gapcert import tree_edges, tree_vertex_count
 
     v_count = tree_vertex_count(k, L)
-    dim = d**v_count
-    pt = p_matrix.reshape(d, d, d, d)
-    h = np.zeros((dim, dim))
+    h = np.zeros((d**v_count, d**v_count))
     for parent, child in tree_edges(k, L):
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        coeff = pt[a, b, c, e]
-                        if coeff == 0.0:
-                            continue
-                        term = np.ones((1, 1))
-                        for site in range(v_count):
-                            if site == parent:
-                                factor = np.zeros((d, d))
-                                factor[a, c] = 1.0
-                            elif site == child:
-                                factor = np.zeros((d, d))
-                                factor[b, e] = 1.0
-                            else:
-                                factor = np.eye(d)
-                            term = np.kron(term, factor)
-                        h += coeff * term
+        h += kron_edge_oracle(p_matrix, d, v_count, parent, child)
     return h
 
 

@@ -3,7 +3,8 @@
 `bench/` imports gapcert names and patches others by name (`PATCH_POINTS` in
 `bench/spans.py`); a deleted or renamed one would only show when the
 benchmark runs.  The files are read with `ast`, not imported.  The matvec
-closures must also keep calling the patched names through `gapcert.model`.
+closures, that of `hamiltonian_matvec` and the one the iterative `gap_report`
+solves with, must also keep calling the patched names through `gapcert.model`.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapcert import ChainSpec, LocalProjector, TreeSpec
+from gapcert import ChainSpec, LocalProjector, RandomSeed, TreeSpec, gap_report
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -78,3 +79,8 @@ def test_matvec_closures_call_through_the_module(name, spec, monkeypatch):
     sizes = (spec.L,) if name == "chain_matvec" else (spec.k, spec.L)
     assert [args[1:-1] for args in calls] == [sizes, sizes]
     assert calls[0][-1] is x and calls[1][-1] is block
+    # every state the solver applies H to goes through the patched name
+    calls.clear()
+    rep = gap_report(spec, P, method="iterative", seed=RandomSeed(5))
+    assert calls and {args[1:-1] for args in calls} == {sizes}
+    assert sum(args[-1].size for args in calls) == rep.solver.matvec_columns * spec.dim

@@ -31,7 +31,8 @@ from gapcert import (
     tree_bound,
 )
 from gapcert import certificate
-from conftest import random_projector, random_projector_matrix
+from gapcert.harness import load_config, run_certify_one
+from conftest import kron_edge_oracle, random_projector, random_projector_matrix
 
 
 def _pair(master, trial=0, dim=None, ranks=None):
@@ -153,6 +154,21 @@ def test_overlap_terms_equal_the_kron_construction(built_terms, geometry, d, r, 
         assert len(built_terms) == 2
         for got, want in zip(built_terms, _kron_terms(p, geometry)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_certify_one_bytes_are_those_of_kron_terms(d, monkeypatch):
+    # the certificate's edge terms come from _edge_dense, which the matvec's
+    # oriented edges share; its output is that of the same terms built as
+    # Kronecker products, entry for entry
+    cfg = load_config({"mode": "certify-one", "d": d, "r": 1, "master_seed": 115 + d})
+    text = run_certify_one(cfg).render()
+
+    def kron_terms(P, sites, edges):
+        return sum(kron_edge_oracle(P.matrix, P.d, sites, a, b) for a, b in edges)
+
+    monkeypatch.setattr(certificate, "_edge_dense", kron_terms)
+    assert run_certify_one(cfg).render() == text
 
 
 def test_certify_builds_each_pair_once(built_terms):

@@ -24,7 +24,7 @@ from gapcert import (
     tree_matvec,
     tree_vertex_count,
 )
-from conftest import kron_chain_oracle, kron_tree_oracle, random_projector
+from conftest import kron_chain_oracle, kron_edge_oracle, kron_tree_oracle, random_projector
 
 
 def test_pair_flat_index():
@@ -290,6 +290,99 @@ def test_matvec_above_d4_adds_edge_by_edge(spec):
         for edge in spec.edges:
             expected += model._edge_matvec(model._edge_plan(p, spec.sites, [edge]), x)
         assert np.array_equal(hamiltonian_matvec(spec, p)(x), expected)
+
+
+def _swap(d):
+    """SWAP on the pair basis: |i, j> to |j, i>."""
+    return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("sites, edges", [
+    # one reversed edge: the last sites, adjacent inside, apart
+    (2, [(1, 0)]), (3, [(1, 0)]), (4, [(3, 1)]),
+    # a pair with one or both edges reversed, on adjacent sites or apart
+    (3, [(1, 0), (1, 2)]), (3, [(2, 0), (2, 1)]), (4, [(0, 3), (2, 0)]),
+], ids=str)
+def test_reversed_edges_vs_kron_oracle(d, sites, edges):
+    # an edge (b, a) with a < b puts P's first factor on b: SWAP P SWAP on (a, b)
+    p = random_projector(d, 1, master=80 + d)
+    swapped = _swap(d) @ p.matrix @ _swap(d)
+    h = sum(kron_edge_oracle(p.matrix, d, sites, a, b) if a < b
+            else kron_edge_oracle(swapped, d, sites, b, a) for a, b in edges)
+    assert np.abs(model._edge_dense(p, sites, edges) - h).max() < 1e-12
+    paired = d <= model._PAIR_MAX_D and len(edges) == 2
+    assert _block_sizes(p, sites, edges) == ([d**3] if paired else [d**2] * len(edges))
+    plan = model._edge_plan(p, sites, edges)
+    gen = np.random.default_rng(d + sites)
+    for x in (gen.standard_normal(d**sites), gen.standard_normal((d**sites, 3))):
+        y = model._edge_matvec(plan, x)
+        assert y.shape == x.shape
+        assert np.abs(y - h @ x).max() < 1e-12
+
+
+def _adjacent_blocks(plan):
+    """Number of blocks of a plan whose sites are adjacent (no axis moves)."""
+    return sum(perm is None for *_, perm in plan[1])
+
+
+_ORDERED = [TreeSpec(d, 1, k, L) for d in (2, 3, 4) for k, L in ((2, 2), (2, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("spec", _ORDERED + [TreeSpec(2, 1, 2, 4)], ids=str)
+def test_solver_plan_is_the_hamiltonian_on_relabeled_sites(spec):
+    p = random_projector(spec.d, 1, master=90 + spec.d)
+    order = model._site_order(spec.d, spec.sites, spec.edges)
+    assert sorted(order) == list(range(spec.sites))
+    plan = model._solver_plan(spec, p)
+    own = model._edge_plan(p, spec.sites, spec.edges)
+    assert _adjacent_blocks(plan) >= _adjacent_blocks(own)
+    # place i of the solver's state is site order[i]: a permutation of the axes
+    axes = (*order, spec.sites)
+
+    def relabel(x):
+        return x.reshape((spec.d,) * spec.sites + (-1,)).transpose(axes).reshape(x.shape)
+
+    x = np.random.default_rng(91).standard_normal((spec.dim, 2))
+    y = model._edge_matvec(plan, relabel(x))
+    assert np.abs(y - relabel(hamiltonian_matvec(spec, p)(x))).max() < 1e-12
+    if spec.dim <= 3**7:  # np.eye takes 2 GB at 4^7 and 8 GB at 2^15
+        h = model._edge_matvec(plan, np.eye(spec.dim))
+        levels = np.linalg.eigvalsh(dense_hamiltonian(spec, p))
+        assert np.abs(np.linalg.eigvalsh(h) - levels).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_solver_plan_of_the_binary_tree_has_only_adjacent_blocks(d):
+    # blocks {1, 3, 4}, {0, 1, 2}, {2, 5, 6} laid end to end
+    spec = TreeSpec(d, 1, 2, 3)
+    assert model._site_order(d, spec.sites, spec.edges) == [3, 4, 1, 0, 2, 5, 6]
+    plan = model._solver_plan(spec, random_projector(d, 1, master=92))
+    assert _adjacent_blocks(plan) == len(plan[1]) == 3
+
+
+def test_site_order_comes_from_the_edge_list():
+    # blocks {0, 1, 2}, {0, 3}: a path; a star of three single edges is not one
+    assert model._site_order(3, 4, [(0, 1), (0, 2), (0, 3)]) == [1, 2, 0, 3]
+    assert model._site_order(5, 4, [(0, 1), (0, 2), (0, 3)]) == [0, 1, 2, 3]
+    # the edges in another order pair otherwise: blocks {0, 1, 3}, {0, 2}
+    assert model._site_order(3, 4, [(0, 3), (0, 1), (0, 2)]) == [1, 3, 0, 2]
+    # blocks sharing two sites, or missing a site, keep the lattice's order
+    assert model._site_order(3, 3, [(0, 1), (1, 2), (0, 2)]) == [0, 1, 2]
+    assert model._site_order(3, 4, [(0, 1), (1, 2)]) == [0, 1, 2, 3]
+    assert model._site_order(3, 1, []) == [0]
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(2, 1, 7), ChainSpec(3, 1, 6), ChainSpec(4, 1, 5),
+                                  ChainSpec(5, 1, 4), ChainSpec(3, 1, 2)], ids=str)
+def test_chain_solver_plan_is_the_hamiltonian_plan(spec):
+    p = random_projector(spec.d, 1, master=93)
+    assert model._site_order(spec.d, spec.sites, spec.edges) == list(range(spec.L))
+    solver, own = model._solver_plan(spec, p), model._edge_plan(p, spec.sites, spec.edges)
+    assert solver[0] == own[0] and len(solver[1]) == len(own[1])
+    for (M, MT, shape, perm), (M0, MT0, shape0, perm0) in zip(solver[1], own[1]):
+        assert np.array_equal(M, M0) and np.array_equal(MT, MT0)
+        assert (shape, perm) == (shape0, perm0)
 
 
 def _edge_factor_oracle(phi, sites, a, b):

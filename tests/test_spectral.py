@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gapcert.model as model
 import gapcert.spectral as spectral
 from gapcert import (
     ChainSpec,
@@ -345,6 +346,23 @@ def test_iterative_gap_report_is_one_solve(monkeypatch):
     assert len(calls) == 1
     dense = gap_report(spec, p, method="dense")
     assert abs(rep.gap - dense.gap) < 1e-8
+
+
+def test_iterative_gap_report_solves_on_the_solver_plan(monkeypatch):
+    # the 3-level binary tree's sibling blocks lie on adjacent sites of the
+    # solver's order, so no step moves state axes
+    plans, inner = [], model.tree_matvec
+
+    def recording(P, k, L, x, *, plan=None):
+        plans.append(plan)
+        return inner(P, k, L, x, plan=plan)
+
+    monkeypatch.setattr(model, "tree_matvec", recording)
+    spec = TreeSpec(3, 1, 2, 3)
+    p = _near_good(RandomSeed(12000, 0))
+    rep = gap_report(spec, p, method="iterative", seed=RandomSeed(12000, 0))
+    assert len(plans) >= rep.solver.iterations
+    assert all(perm is None for plan in plans for *_, perm in plan[1])
 
 
 def test_iterative_tiny_gap_above_a_huge_kernel():
