@@ -1,17 +1,32 @@
 """Deterministic finite-size gap certificates for chain and tree Hamiltonians.
 
 The certificate machinery works entirely on three-site spaces.  For a pair of
-overlapping edge terms it computes
+overlapping edge projectors Q1, Q2 it reads
 
-* the meet Q1 ^ Q2 (projector onto the intersection of ranges),
+* the meet rank, the dimension of ran(Q1) & ran(Q2), the range of the meet Q1 ^ Q2,
 * the coupling norm c = ||Q1 Q2 - Q1 ^ Q2||,
 * the local gap of Q1 + Q2 (its smallest strictly positive eigenvalue),
 
-and turns the effective local gap max(gamma_loc, 1 - c) into lower bounds on
-the gap of arbitrarily long chains (gamma_L >= 2*(gamma_loc - 1/2) for
-gamma_loc <= 1, else >= 1, any L >= 4) and of k-ary trees
-(gamma >= 2k*(gamma_loc - 1 + 1/(2k))).  The local gap always dominates 1 - c,
-so a coupling norm below 1/2 (resp. 1/(2k)) certifies a gap.  The chain
+all three from the one spectrum of Q1 + Q2.  Two projections split the space
+into invariant blocks of dimension 1 and 2 (Jordan's lemma; Halmos, "Two
+subspaces", Trans. AMS 144, 1969).  A 1-dimensional block lies in the range or
+the kernel of each projector, so Q1 + Q2 is 2 there (a common range vector),
+1 (in one range, in the other kernel) or 0 (in both kernels), and
+Q1 Q2 - Q1 ^ Q2 vanishes on it.  On a 2-dimensional block Q1 and Q2 project
+onto two lines at a principal angle 0 < theta < pi/2: Q1 + Q2 has eigenvalues
+1 +- cos theta there, Q1 Q2 has norm cos theta, and the meet is zero.  Hence
+
+* the meet rank is the number of eigenvalues at 2 (within MEET_EIGTOL),
+* c is the largest cos theta, max(0, largest eigenvalue below 2 - 1),
+* the local gap is the smallest eigenvalue above the kernel threshold, and it
+  equals 1 - c when below 1: only a 2-dimensional block puts a positive
+  eigenvalue below 1, and the block of largest cos theta puts the smallest.
+
+The certificate turns the effective local gap max(gamma_loc, 1 - c) into lower
+bounds on the gap of arbitrarily long chains (gamma_L >= 2*(gamma_loc - 1/2)
+for gamma_loc <= 1, else >= 1, any L >= 4) and of k-ary trees
+(gamma >= 2k*(gamma_loc - 1 + 1/(2k))).  Since the local gap equals 1 - c when
+below 1, a coupling norm below 1/2 (resp. 1/(2k)) certifies a gap.  The chain
 criterion bounds the gap above a zero ground energy, so a chain bound needs
 r <= max_ff_rank(d, "chain"); `certify` refuses a larger rank through the
 rank rule of `gapcert.model`, the one the experiment harness asks too.
@@ -132,28 +147,31 @@ _OVERLAP_LATTICES = {
 }
 
 
-def _overlap(P: LocalProjector, geometry: str) -> tuple[np.ndarray, float, float]:
-    """Meet, coupling norm and local gap of the two edge terms of `geometry`,
-    P on each edge of the geometry's lattice, assembled as the Hamiltonian is."""
+def _overlap(P: LocalProjector, geometry: str) -> tuple[int, float, float]:
+    """Meet rank, coupling norm and local gap of the two edge terms of `geometry`,
+    P on each edge of the geometry's lattice, assembled as the Hamiltonian is.
+
+    All three are read from one spectrum of Q1 + Q2 (see the module docstring).
+    """
     if geometry not in _OVERLAP_LATTICES:
         raise DomainError(f"geometry must be one of {tuple(_OVERLAP_LATTICES)}, got {geometry!r}")
     spec = _OVERLAP_LATTICES[geometry](P.d, P.r)
     q1, q2 = (_edge_dense(P, spec.sites, [edge]) for edge in spec.edges)
-    m = meet(q1, q2)
-    evals = dense_spectrum(q1 + q2)
-    above = evals[evals > default_kernel_threshold(2)]
-    if above.size == 0:
-        raise SolverConvergenceError("three-site operator has no eigenvalue above the threshold")
-    return m, float(np.linalg.norm(q1 @ q2 - m, 2)), float(above[0])
+    w = dense_spectrum(q1 + q2)  # ascending, so the meet's eigenvalues come last
+    rank = int(np.count_nonzero(w >= 2.0 - MEET_EIGTOL))
+    c = max(0.0, float(w[-rank - 1]) - 1.0) if rank < w.size else 0.0
+    return rank, c, float(w[w > default_kernel_threshold(2)][0])
 
 
 def coupling_norm(P: LocalProjector, geometry: str = "path") -> float:
-    """Operator norm of Q1 Q2 - Q1 ^ Q2 for the edge pair of `geometry`."""
+    """Operator norm of Q1 Q2 - Q1 ^ Q2 for the edge pair of `geometry`: the
+    largest eigenvalue of Q1 + Q2 below 2, less 1 (0 when there is none)."""
     return _overlap(P, geometry)[1]
 
 
 def local_gap(P: LocalProjector, geometry: str = "path") -> float:
-    """Smallest strictly positive eigenvalue of Q1 + Q2 (dense, d^3 space)."""
+    """Smallest strictly positive eigenvalue of Q1 + Q2 (dense, d^3 space);
+    it equals 1 - coupling_norm(P, geometry) when below 1."""
     return _overlap(P, geometry)[2]
 
 
@@ -255,18 +273,19 @@ def certify(P: LocalProjector, k_list: tuple[int, ...] = ()) -> Certificate:
     """Compute the full certificate of one interaction.
 
     The effective local gap of a geometry is the better of the exact dense value
-    and the 1 - c bound implied by its coupling norm (both are recorded).  The
+    and the 1 - c bound implied by its coupling norm (both are recorded; they
+    agree to rounding when the local gap is below 1).  The
     chain bound, and the tree bound for k = 1, evaluate the finite-size
     criterion on the path geometry; a positive chain bound certifies every
     length L >= 4 at once.  Tree bounds for k >= 2 use the smaller of the path
     and sibling effective local gaps, since a k-ary tree has both overlaps (see
     the module docstring); the sibling data are computed and recorded only when
     such a k is requested, and are None otherwise.  Each geometry's edge pair
-    is built once.  Raises DomainError for a rank above
+    is built once and its sum solved once.  Raises DomainError for a rank above
     max_ff_rank(d, "chain"), where the chain criterion does not apply.
     """
     _require_ff_rank(P.d, P.r)
-    m, c, g_loc = _overlap(P, "path")
+    meet_rank, c, g_loc = _overlap(P, "path")
     g_lb = 1.0 - c
     best = max(g_loc, g_lb)
     cb = chain_bound(best)
@@ -282,7 +301,7 @@ def certify(P: LocalProjector, k_list: tuple[int, ...] = ()) -> Certificate:
         coupling_norm=c,
         gamma_loc=g_loc,
         gamma_loc_lb=g_lb,
-        meet_rank=int(round(float(np.trace(m)))),
+        meet_rank=meet_rank,
         chain_bound=cb,
         tree_bounds=tb,
         verdict="certified-gapped" if cb > 0 else "inconclusive",

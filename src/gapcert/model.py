@@ -121,7 +121,7 @@ class LocalProjector:
     seed: RandomSeed | None = None
 
     def __post_init__(self):
-        _check_site_space(self.d)
+        _check_site_space(self.d, self.r)
         d2 = self.d**2
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (d2, d2):

@@ -12,6 +12,7 @@ from gapcert import (
     DomainError,
     TreeSpec,
     InvalidRankError,
+    LocalProjector,
     NotAProjectorError,
     RandomSeed,
     certified_gap_level,
@@ -19,9 +20,12 @@ from gapcert import (
     chain_bound,
     construct_near_good,
     coupling_norm,
+    default_kernel_threshold,
+    dense_spectrum,
     fnw_defect,
     gap_report,
     local_gap,
+    max_ff_rank,
     meet,
     meet_von_neumann,
     projector_from_family,
@@ -102,6 +106,9 @@ def test_meet_with_guaranteed_intersection():
 def test_coupling_norm_reference_is_zero():
     assert coupling_norm(reference_projector(3, 1)) < 1e-12
     assert coupling_norm(reference_projector(4, 2)) < 1e-12
+    # Q1 = Q2 = identity: every eigenvalue of the sum is 2, none is left for c
+    full = LocalProjector(2, 4, np.eye(4))
+    assert coupling_norm(full) == 0.0 and local_gap(full) == 2.0
 
 
 @pytest.mark.parametrize("d,r,eps", [(3, 1, 0.05), (3, 2, 0.03), (4, 1, 0.1)])
@@ -181,6 +188,41 @@ def test_certify_builds_each_pair_once(built_terms):
         assert all(np.array_equal(got, w) for got, w in zip(built_terms, want))
 
 
+# Haar samples at every frustration-free rank, the reference projector (whose
+# sibling meet has rank 1) and a near-good family, for d = 2..5
+_ORACLE_PROJECTORS = {
+    **{f"haar-{d}-{r}": random_projector(d, r, master=119, trial=10 * d + r)
+       for d in range(2, 6) for r in range(1, max_ff_rank(d, "chain") + 1)},
+    **{f"reference-{d}-1": reference_projector(d, 1) for d in range(2, 6)},
+    **{f"near-good-{d}-1": projector_from_family(construct_near_good(d, 1, 0.1, RandomSeed(120, d)))
+       for d in range(2, 6)},
+}
+
+
+@pytest.mark.parametrize("geometry", ["path", "sibling"])
+@pytest.mark.parametrize("name", _ORACLE_PROJECTORS)
+def test_one_spectrum_matches_the_three_factorizations(name, geometry):
+    # the meet rank, coupling norm and local gap read from the spectrum of
+    # Q1 + Q2 against the meet's eigenvectors, a 2-norm and the local gap of
+    # the same spectrum
+    p = _ORACLE_PROJECTORS[name]
+    q1, q2 = _kron_terms(p, geometry)
+    m = meet(q1, q2)
+    evals = dense_spectrum(q1 + q2)
+    want_gap = evals[evals > default_kernel_threshold(2)][0]
+    cert = certify(p, k_list=(2,))
+    if geometry == "path":
+        rank, c, gap = cert.meet_rank, cert.coupling_norm, cert.gamma_loc
+    else:
+        rank = certificate._overlap(p, "sibling")[0]
+        c, gap = cert.sibling_coupling_norm, cert.sibling_gamma_loc
+    assert rank == round(float(np.trace(m)))
+    assert abs(c - np.linalg.norm(q1 @ q2 - m, 2)) < 1e-13
+    assert gap == want_gap
+    if name.startswith("reference"):
+        assert rank == (1 if geometry == "sibling" else 0)
+
+
 @pytest.mark.parametrize("p", [random_projector(3, 1, 115), random_projector(3, 2, 116),
                                random_projector(4, 3, 117), reference_projector(3, 1)],
                          ids=["haar-3-1", "haar-3-2", "haar-4-3", "reference-3-1"])
@@ -208,10 +250,14 @@ def test_local_gap_reference_model():
 
 
 def test_local_gap_dominates_coupling_bound():
+    # Jordan's lemma: gamma_loc >= 1 - c, with equality when gamma_loc < 1
     for d, r in [(2, 1), (3, 1), (3, 2)]:
         for trial in range(8):
             p = random_projector(d, r, master=96, trial=trial)
-            assert local_gap(p) >= 1.0 - coupling_norm(p) - 1e-8
+            g, c = local_gap(p), coupling_norm(p)
+            assert g >= 1.0 - c - 1e-8
+            if g < 1.0:
+                assert abs(g - (1.0 - c)) < 1e-13
 
 
 def test_local_gap_degenerate_alignment_case():

@@ -41,6 +41,7 @@ _SITE_ENTRIES = {
     "sample_family_batch": lambda d, r: sample_family_batch(d, r, 0, 0, 1),
     "ChainSpec": lambda d, r: ChainSpec(d, r, 3),
     "TreeSpec": lambda d, r: TreeSpec(d, r, 2, 2),
+    "LocalProjector": lambda d, r: LocalProjector(d, r, np.diag(np.arange(d * d) < r) * 1.0),
 }
 # entry points that take d alone
 _DIM_ENTRIES = {

@@ -636,6 +636,18 @@ def test_cli_projector_rank_must_be_an_integer(tmp_path, rank):
     assert "'r' must be an integer" in proc.stderr
 
 
+def test_projector_file_of_rank_zero_is_refused(tmp_path):
+    # the zero matrix is a projector, but no edge term has rank 0
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"d": 3, "r": 0, "matrix": [0.0] * 81}))
+    with pytest.raises(ConfigError, match="rank must satisfy 1 <= r <= d"):
+        load_config({"mode": "certify-one", "projector": str(path)})
+    proc = _run_cli(["certify", "--projector", str(path)], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_sweep_writes_file_and_exit_zero(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "gap-sweep", "d": 2, "r": 1, "trials": 3, "L": [4]}))

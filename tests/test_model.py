@@ -78,6 +78,8 @@ def test_projector_validation():
         LocalProjector(d=2, r=1, matrix=0.5 * np.eye(4))
     with pytest.raises(NotAProjectorError):
         LocalProjector(d=2, r=2, matrix=np.diag([1.0, 0, 0, 0]))  # trace != r
+    with pytest.raises(InvalidRankError, match="1 <= r <= d"):
+        LocalProjector(d=3, r=0, matrix=np.zeros((9, 9)))  # the zero matrix is a projector
 
 
 def test_reference_projector_layout():
