@@ -51,7 +51,7 @@ from .haar import (
     sphere_blocks,
 )
 from .model import (
-    DENSE_DIM_LIMIT,
+    MEMORY_BUDGET,
     ChainSpec,
     LocalProjector,
     TreeSpec,

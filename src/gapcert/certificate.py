@@ -81,6 +81,7 @@ from .model import (
     ChainSpec,
     LocalProjector,
     TreeSpec,
+    _check_projector,
     _edge_dense,
     _require_ff_rank,
     reference_targets,
@@ -88,19 +89,7 @@ from .model import (
 from .spectral import dense_spectrum, default_kernel_threshold
 
 MEET_EIGTOL = 1e-8
-_PROJ_TOL = 1e-10
 _RETRIES = 20  # scale halvings of construct_near_good
-
-
-def _check_projector_matrix(q: np.ndarray, name: str) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise NotAProjectorError(f"{name} must be a square matrix, got shape {q.shape}")
-    if np.abs(q - q.T).max() > _PROJ_TOL:
-        raise NotAProjectorError(f"{name} is not symmetric")
-    if np.abs(q @ q - q).max() > _PROJ_TOL:
-        raise NotAProjectorError(f"{name} is not idempotent")
-    return q
 
 
 def meet(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -110,8 +99,8 @@ def meet(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     (the sum reaches 2 exactly on common range vectors and stays strictly below
     elsewhere).  `meet_von_neumann` provides an independent cross-check.
     """
-    q1 = _check_projector_matrix(q1, "q1")
-    q2 = _check_projector_matrix(q2, "q2")
+    q1 = _check_projector(q1, "q1")
+    q2 = _check_projector(q2, "q2")
     if q1.shape != q2.shape:
         raise NotAProjectorError(f"shape mismatch: {q1.shape} vs {q2.shape}")
     w, u = np.linalg.eigh(q1 + q2)
@@ -129,8 +118,8 @@ def meet_von_neumann(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     The powers are walked by repeated squaring, so small principal angles
     (slow linear convergence of the plain power sequence) stay cheap.
     """
-    q1 = _check_projector_matrix(q1, "q1")
-    q2 = _check_projector_matrix(q2, "q2")
+    q1 = _check_projector(q1, "q1")
+    q2 = _check_projector(q2, "q2")
     a = q1 @ q2
     for _ in range(200):
         nxt = a @ a
@@ -156,8 +145,8 @@ def _overlap(P: LocalProjector, geometry: str) -> tuple[int, float, float]:
     if geometry not in _OVERLAP_LATTICES:
         raise DomainError(f"geometry must be one of {tuple(_OVERLAP_LATTICES)}, got {geometry!r}")
     spec = _OVERLAP_LATTICES[geometry](P.d, P.r)
-    q1, q2 = (_edge_dense(P, spec.sites, [edge]) for edge in spec.edges)
-    w = dense_spectrum(q1 + q2)  # ascending, so the meet's eigenvalues come last
+    # Q1 + Q2 in one assembly; ascending, so the meet's eigenvalues come last
+    w = dense_spectrum(_edge_dense(P, spec.sites, spec.edges))
     rank = int(np.count_nonzero(w >= 2.0 - MEET_EIGTOL))
     c = max(0.0, float(w[-rank - 1]) - 1.0) if rank < w.size else 0.0
     return rank, c, float(w[w > default_kernel_threshold(2)][0])
@@ -201,8 +190,8 @@ def fnw_defect(q1: np.ndarray, q2: np.ndarray) -> float:
     Smallest eigenvalue of {q1, q2} + ||q1 q2 - q1^q2|| (q1 + q2); the
     inequality asserts this is never below zero (up to rounding).
     """
-    q1 = _check_projector_matrix(q1, "q1")
-    q2 = _check_projector_matrix(q2, "q2")
+    q1 = _check_projector(q1, "q1")
+    q2 = _check_projector(q2, "q2")
     c = float(np.linalg.norm(q1 @ q2 - meet(q1, q2), 2))
     a = q1 @ q2 + q2 @ q1 + c * (q1 + q2)
     return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])

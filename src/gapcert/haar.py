@@ -37,8 +37,8 @@ from .errors import InvalidDimensionError, InvalidRankError
 _U64 = np.uint64
 _GRAM_TOL = 1e-12
 
-#: most coordinates of a sampled sphere point: 128 MB of doubles, the size
-#: `model.MAX_STATE_DIM` allows a state vector
+#: most coordinates of a sampled sphere point: 128 MB of doubles.  It bounds
+#: one sampled point, not a solve, so `model.MEMORY_BUDGET` does not set it
 MAX_SPHERE_COORDS = 2**24
 
 #: bytes of the row blocks `sphere_blocks` draws a sample in (at least one point each)

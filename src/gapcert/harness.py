@@ -15,11 +15,12 @@ for console reporting but deliberately kept out of the files for the same
 reason.
 
 Each mode's configuration keys are declared once, in `_KEYS`.  The domain
-rules (lattice sizes, frustration-free ranks, the near-reference epsilon
-window, reference targets) are the library's: `load_config` builds the run's
-lattices and asks the functions that state the other rules, so a run outside
-them is refused as a ConfigError before any trial runs.  Gap sweeps and tree
-runs share one trial runner over those lattices.
+rules (lattice sizes, the memory budget of each lattice's gap route,
+frustration-free ranks, the near-reference epsilon window, reference targets)
+are the library's: `load_config` builds the run's lattices and asks the
+functions that state the other rules, so a run outside them is refused as a
+ConfigError before any trial runs.  Gap sweeps and tree runs share one trial
+runner over those lattices.
 
 Output formats: CSV with a fixed header per mode (floats printed with 17
 significant digits; summary statistics appended as '# key=value' comment
@@ -55,7 +56,6 @@ from .haar import (
     sphere_blocks,
 )
 from .model import (
-    DENSE_DIM_LIMIT,
     ChainSpec,
     LocalProjector,
     TreeSpec,
@@ -64,7 +64,7 @@ from .model import (
     projector_from_family,
     reference_targets,
 )
-from .spectral import gap_report
+from .spectral import _require_route, gap_report
 
 _REQUIRED = object()
 
@@ -328,11 +328,8 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
         for n in cfg.n_list:
             _domain(_check_sphere_dim, n)
 
-    if cfg.gap_method != "iterative":
-        largest = max((spec.dim for spec in cfg.lattices), default=0)
-        _require(largest <= DENSE_DIM_LIMIT,
-                 f"largest dense dimension {largest} exceeds {DENSE_DIM_LIMIT}; "
-                 f"select gap_method='iterative' explicitly")
+    for spec in cfg.lattices:  # every method but "iterative" is budgeted as dense
+        _domain(_require_route, spec, cfg.gap_method)
     return cfg
 
 

@@ -52,12 +52,35 @@ import numpy as np
 from .errors import DomainError, InvalidDimensionError, InvalidRankError, NotAProjectorError
 from .haar import OrthonormalFamily, RandomSeed, _check_site_space
 
-#: largest dimension for which operators may be materialized as dense matrices
-DENSE_DIM_LIMIT = 20_000
-#: largest state-vector dimension accepted by the matrix-free routines
-MAX_STATE_DIM = 2**24
+#: bytes one solve may hold: a lattice's state vector, a dense matrix and
+#: LAPACK's copy of it, or the Lanczos basis and its restart block.  4 GiB is
+#: half the memory of the 8 GB machine the benchmark figures come from
+MEMORY_BUDGET = 2**32
 
-_IDEMPOTENT_TOL = 1e-10
+#: largest entry of |Q - Q^T| and of |Q^2 - Q| in a matrix accepted as a projector
+_PROJECTOR_TOL = 1e-10
+
+
+def _require_bytes(nbytes: int, what: str):
+    """Refuse, with an InvalidDimensionError, ``what`` needing more than
+    MEMORY_BUDGET bytes; every route calls this before it allocates."""
+    if nbytes > MEMORY_BUDGET:
+        raise InvalidDimensionError(
+            f"{what} needs at least {nbytes} bytes, above the memory budget of "
+            f"{MEMORY_BUDGET} bytes")
+
+
+def _check_projector(q, name: str) -> np.ndarray:
+    """``q`` as a float array, refused with a NotAProjectorError unless it is a
+    square matrix that is symmetric and idempotent within _PROJECTOR_TOL."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise NotAProjectorError(f"{name} must be a square matrix, got shape {q.shape}")
+    for prop, defect in (("symmetric", q - q.T), ("idempotent", q @ q - q)):
+        worst = np.abs(defect).max()
+        if worst > _PROJECTOR_TOL:
+            raise NotAProjectorError(f"{name} is not {prop}: largest defect {worst:.3e}")
+    return q
 
 
 def pair_flat_index(i: int, j: int, d: int) -> int:
@@ -126,15 +149,10 @@ class LocalProjector:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (d2, d2):
             raise InvalidDimensionError(f"expected a {d2} x {d2} matrix, got shape {m.shape}")
-        asym = np.abs(m - m.T).max()
-        if asym > _IDEMPOTENT_TOL:
-            raise NotAProjectorError(f"matrix is not symmetric: max |P - P^T| = {asym:.3e}")
+        _check_projector(m, "P")
         m = 0.5 * (m + m.T)  # exact symmetry
-        idem = np.abs(m @ m - m).max()
-        if idem > _IDEMPOTENT_TOL:
-            raise NotAProjectorError(f"matrix is not idempotent: max |P^2 - P| = {idem:.3e}")
         tr = float(np.trace(m))
-        if abs(tr - self.r) > _IDEMPOTENT_TOL * d2:
+        if abs(tr - self.r) > _PROJECTOR_TOL * d2:
             raise NotAProjectorError(f"trace {tr!r} does not match rank {self.r}")
         object.__setattr__(self, "matrix", m)
 
@@ -197,16 +215,14 @@ def _path_edges(L: int) -> list[tuple[int, int]]:
 
 
 def _state_dim(d: int, sites: int) -> int:
-    """d**sites, refused above MAX_STATE_DIM.
+    """d**sites, refused when a state vector of 8 d**sites bytes breaks MEMORY_BUDGET.
 
-    For d >= 2, d**MAX_STATE_DIM.bit_length() already exceeds the limit, so the
-    capped exponent keeps the test exact without raising d to the vertex count
-    of a deep tree.
+    For d >= 2, 8 d**MEMORY_BUDGET.bit_length() already exceeds the budget, so
+    the capped exponent keeps the test exact without raising d to the vertex
+    count of a deep tree.
     """
-    if d ** min(sites, MAX_STATE_DIM.bit_length()) > MAX_STATE_DIM:
-        raise InvalidDimensionError(
-            f"state dimension d^{sites} with d={d} exceeds {MAX_STATE_DIM}"
-        )
+    _require_bytes(8 * d ** min(sites, MEMORY_BUDGET.bit_length()),
+                   f"a state vector of d^{sites} entries with d={d}")
     return d**sites
 
 
@@ -263,10 +279,7 @@ class TreeSpec(_Lattice):
     def __post_init__(self):
         # L levels hold at least L vertices, so this refuses a deep tree before
         # its vertex count, an integer of about L bits, is formed
-        if self.L > MAX_STATE_DIM.bit_length():
-            raise InvalidDimensionError(
-                f"a tree of {self.L} levels exceeds the state dimension limit {MAX_STATE_DIM}"
-            )
+        _state_dim(self.d, self.L)
         super().__post_init__()
 
     @property
@@ -526,20 +539,19 @@ def _edge_gram(phi: np.ndarray, sites: int, edges) -> np.ndarray:
     return g.reshape(n * w, n * w)
 
 
-def _check_dense(spec: ChainSpec | TreeSpec, P: LocalProjector):
-    _check_projector_dim(P, spec.d)
-    if spec.dim > DENSE_DIM_LIMIT:
-        raise InvalidDimensionError(
-            f"dimension {spec.dim} exceeds the dense-assembly limit {DENSE_DIM_LIMIT}"
-        )
+def _gram_order(spec: ChainSpec | TreeSpec, r: int) -> int:
+    """m = n_terms r d^(sites-2), the order of `range_gram`'s matrix for rank r."""
+    return spec.n_terms * r * (spec.dim // spec.d**2)
 
 
 def dense_hamiltonian(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
     """Materialize the Hamiltonian as a dense symmetric matrix.
 
-    Refuses dimensions above DENSE_DIM_LIMIT; use the matvec routines there.
+    Refuses, before allocating, a dim x dim matrix of 8 dim^2 bytes above
+    MEMORY_BUDGET; use the matvec routines there.
     """
-    _check_dense(spec, P)
+    _check_projector_dim(P, spec.d)
+    _require_bytes(8 * spec.dim**2, f"the dense Hamiltonian of {spec}")
     return _edge_dense(P, spec.sites, spec.edges)
 
 
@@ -567,9 +579,12 @@ def range_gram(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
     each level of B B^T lies within n_terms times that bound of the same
     level of H.
 
-    Refuses dimensions above DENSE_DIM_LIMIT, as `dense_hamiltonian` does.
+    Refuses, before allocating, an m x m matrix of 8 m^2 bytes above
+    MEMORY_BUDGET, as `dense_hamiltonian` refuses H.
     """
-    _check_dense(spec, P)
+    _check_projector_dim(P, spec.d)
+    m = _gram_order(spec, P.r)
+    _require_bytes(8 * m * m, f"the {m} x {m} Gram matrix of {spec}")
     return _edge_gram(_range_factor(P), spec.sites, spec.edges)
 
 

@@ -2,13 +2,12 @@
 
 Two routes are provided and cross-validated in the test suite:
 
-* a dense oracle (`dense_spectrum`) for dimensions up to DENSE_DIM_LIMIT.
-  The Hamiltonian is H = B B^T, B holding the n_terms r d^(sites-2) = m
-  columns of the interaction ranges on every edge (`range_gram`), so when
-  m < dim the dense path of `gap_report` solves the m x m Gram matrix
-  G = B^T B and adds the dim - m zeros of the kernel that B leaves; H is
-  assembled and solved when m >= dim.  A diagonal P gives a diagonal H,
-  read off as H 1 from the matvec and sorted;
+* a dense oracle (`dense_spectrum`).  The Hamiltonian is H = B B^T, B
+  holding the n_terms r d^(sites-2) = m columns of the interaction ranges on
+  every edge (`range_gram`), so when m < dim the dense path of `gap_report`
+  solves the m x m Gram matrix G = B^T B and adds the dim - m zeros of the
+  kernel that B leaves; H is assembled and solved when m >= dim.  A diagonal
+  P gives a diagonal H, read off as H 1 from the matvec and sorted;
 * a matrix-free thick-restart Lanczos iteration with partial
   reorthogonalization (the iterative path of `gap_report`, and
   `smallest_eig_above`).
@@ -54,6 +53,15 @@ level once (Parlett, The Symmetric Eigenvalue Problem, ch. 12): started from a
 random vector it resolves the whole reachable kernel as one Ritz value, the
 ground energy, and the gap level as the next one, so `gap_report` runs one
 solve that converges both targets.
+
+One memory budget, `model.MEMORY_BUDGET` bytes, bounds every route, and each
+route states its bytes once and is refused before it allocates them: the
+dense route its matrix of order n = min(m, dim) and LAPACK's copy, 16 n^2
+bytes (`_require_dense`; the diagonal route is budgeted alike), and the
+iterative route its basis and restart block, 8 dim (cap + cap // 3) bytes
+with cap = min(dim, _MAX_BASIS) (`_require_basis`).  `_require_route` states
+the route of a gap method for a lattice; the experiment harness asks it at
+load time, with every method but "iterative" budgeted as dense.
 """
 
 from __future__ import annotations
@@ -66,11 +74,11 @@ import numpy as np
 from .errors import DomainError, InvalidDimensionError, SolverConvergenceError
 from .haar import RandomSeed
 from .model import (
-    DENSE_DIM_LIMIT,
     ChainSpec,
     LocalProjector,
     TreeSpec,
-    _check_dense,
+    _gram_order,
+    _require_bytes,
     _solver_matvec,
     dense_hamiltonian,
     hamiltonian_matvec,
@@ -144,22 +152,47 @@ class SpectralReport:
     solver: SolverStats | None = None
 
 
+def _require_dense(spec: ChainSpec | TreeSpec, m: int):
+    """Refuse the dense route of `spec`, whose B has m columns, when its matrix
+    of order n = min(m, dim) and LAPACK's copy of it, 16 n^2 bytes, break
+    MEMORY_BUDGET."""
+    n = min(m, spec.dim)
+    _require_bytes(16 * n * n, f"the dense solve of {spec} (an {n} x {n} matrix and "
+                               f"LAPACK's copy; the 'iterative' gap method holds neither)")
+
+
+def _require_basis(dim: int, max_basis: int = _MAX_BASIS):
+    """Refuse a Lanczos solve of dimension dim when its basis of
+    cap = min(dim, max_basis) rows and its restart block of cap // 3 rows,
+    8 dim (cap + cap // 3) bytes, break MEMORY_BUDGET."""
+    cap = min(dim, max_basis)
+    _require_bytes(8 * dim * (cap + cap // 3),
+                   f"a Lanczos basis of {cap} rows of dimension {dim} and its restart block")
+
+
+def _require_route(spec: ChainSpec | TreeSpec, method: str):
+    """Refuse `spec` when the gap route of `method` breaks MEMORY_BUDGET: the
+    Lanczos basis for "iterative", the dense route for any other method."""
+    if method == "iterative":
+        _require_basis(spec.dim)
+    else:
+        _require_dense(spec, _gram_order(spec, spec.r))
+
+
 def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     """Full ascending spectrum of a dense symmetric matrix (LAPACK `eigvalsh`).
 
-    Refuses dimensions above DENSE_DIM_LIMIT; a 0 x 0 matrix has the empty
-    spectrum.  LAPACK reads only the lower triangle, so with
-    ``check_symmetry=False`` a matrix filled only there, as `range_gram`
-    fills the Gram matrix, is solved as its symmetric completion.
+    Refuses, before allocating, an n x n matrix whose copy for LAPACK, 8 n^2
+    bytes, breaks MEMORY_BUDGET; a 0 x 0 matrix has the empty spectrum.
+    LAPACK reads only the lower triangle, so with ``check_symmetry=False`` a
+    matrix filled only there, as `range_gram` fills the Gram matrix, is
+    solved as its symmetric completion.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {h.shape}")
     n = h.shape[0]
-    if n > DENSE_DIM_LIMIT:
-        raise InvalidDimensionError(
-            f"dimension {n} exceeds the dense limit {DENSE_DIM_LIMIT}; use the iterative path"
-        )
+    _require_bytes(8 * n * n, f"the eigensolve of a {n} x {n} matrix")
     if check_symmetry:
         scale = float(np.abs(h).max(initial=1.0))
         asym = float(np.abs(h - h.T).max(initial=0.0))
@@ -180,13 +213,14 @@ def _dense_levels(spec: ChainSpec | TreeSpec, P: LocalProjector) -> np.ndarray:
     columns, this is the spectrum of the m x m Gram matrix G = B^T B plus
     dim - m exact zeros, and for m >= dim H is assembled and solved.  H is
     exactly symmetric and G is read from its lower triangle, so neither is
-    checked for symmetry.  Every route refuses dimensions above
-    DENSE_DIM_LIMIT.
+    checked for symmetry.  Every route, the diagonal one too, is refused
+    before it allocates when the matrix of order n = min(m, dim) and LAPACK's
+    copy of it break MEMORY_BUDGET (`_require_dense`).
     """
+    m = _gram_order(spec, P.r)
+    _require_dense(spec, m)
     if np.count_nonzero(P.matrix) == np.count_nonzero(np.diagonal(P.matrix)):
-        _check_dense(spec, P)
         return np.sort(hamiltonian_matvec(spec, P)(np.ones(spec.dim)))
-    m = spec.n_terms * P.r * P.d ** (spec.sites - 2)
     if m >= spec.dim:
         return dense_spectrum(dense_hamiltonian(spec, P), check_symmetry=False)
     levels = dense_spectrum(range_gram(spec, P), check_symmetry=False)
@@ -234,7 +268,8 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
     array of fixed length; an index equal to theta.size marks a target not
     (yet) among them.  Returns the targets' Ritz values, all of them once
     converged; when the basis spans the whole space first (values are then
-    exact), only those that are present.
+    exact), only those that are present.  A basis and restart block above
+    MEMORY_BUDGET are refused before they are allocated (`_require_basis`).
 
     Only the basis V and the lower triangle of the projected matrix T are
     stored; the image H q of the newest vector q lives for one step.  Vectors
@@ -294,6 +329,7 @@ def _lanczos(matvec, dim: int, rng: np.random.Generator, targets, *, max_iter: i
     the rows they are formed from and are not orthonormalized again.
     """
     stats = SolverStats() if stats is None else stats
+    _require_basis(dim, max_basis)
     cap = min(dim, max_basis)
     keep = cap // 3
     V = np.empty((cap, dim))
@@ -427,8 +463,9 @@ def gap_report(
 ) -> SpectralReport:
     """Ground energy, kernel dimension, and spectral gap of one Hamiltonian.
 
-    method: "dense" (full spectrum, refuses dim > DENSE_DIM_LIMIT),
-    "iterative" (matrix-free), or "auto" (dense at or below AUTO_DENSE_LIMIT).
+    method: "dense" (full spectrum), "iterative" (matrix-free), or "auto"
+    (dense at or below AUTO_DENSE_LIMIT).  Either route is refused before it
+    allocates when its bytes break MEMORY_BUDGET (`_require_route`).
     The dense levels come from `_dense_levels`; the iterative path runs one
     Lanczos solve from a random start (substream 1 of `seed`), on the
     solver's site order (`_solver_matvec`): a permutation similarity of H that

@@ -141,7 +141,7 @@ def _kron_terms(P, geometry):
 
 @pytest.fixture
 def built_terms(monkeypatch):
-    """Every edge term the certificate assembles, in order."""
+    """Every edge-term sum the certificate assembles, in order."""
     built, real = [], certificate._edge_dense
 
     def spy(*args):
@@ -158,9 +158,10 @@ def test_overlap_terms_equal_the_kron_construction(built_terms, geometry, d, r, 
     for p in (random_projector(d, r, master), reference_projector(d, 1)):
         built_terms.clear()
         coupling_norm(p, geometry=geometry)
-        assert len(built_terms) == 2
-        for got, want in zip(built_terms, _kron_terms(p, geometry)):
-            assert np.array_equal(got, want)
+        # Q1 + Q2 in one assembly, every entry the sum of the two terms
+        q1, q2 = _kron_terms(p, geometry)
+        assert len(built_terms) == 1
+        assert np.array_equal(built_terms[0], q1 + q2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -180,7 +181,7 @@ def test_certify_one_bytes_are_those_of_kron_terms(d, monkeypatch):
 
 def test_certify_builds_each_pair_once(built_terms):
     p = random_projector(3, 1, master=114)
-    path, sibling = _kron_terms(p, "path"), _kron_terms(p, "sibling")
+    path, sibling = [sum(_kron_terms(p, "path"))], [sum(_kron_terms(p, "sibling"))]
     for k_list, want in (((), path), ((1,), path), ((1, 2, 3), path + sibling)):
         built_terms.clear()
         certify(p, k_list=k_list)

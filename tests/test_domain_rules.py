@@ -6,9 +6,12 @@ entry points with values on both sides of its boundary: the library raises
 its own type, a configuration raises ConfigError.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gapcert.model as model
 from gapcert import (
     ChainSpec,
     ConfigError,
@@ -22,7 +25,11 @@ from gapcert import (
     certified_gap_level,
     certify,
     construct_near_good,
+    dense_hamiltonian,
+    dense_spectrum,
+    gap_report,
     max_ff_rank,
+    range_gram,
     reference_distance,
     reference_projector,
     sample_family,
@@ -171,6 +178,106 @@ def test_sphere_point_size_rule(entry):
     for n in (MAX_SPHERE_COORDS, 10**300):
         with pytest.raises(error, match=f"sphere dimension must be <= {MAX_SPHERE_COORDS - 1}"):
             call(n)
+
+
+# --- memory budget: each route's bytes, refused before they are allocated ----
+
+
+def _traced(call):
+    """call()'s result and the tracemalloc peak of the call."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+_SPEC = ChainSpec(3, 1, 5)  # dim 243; B has m = 4 * 27 = 108 columns
+_P = random_projector(3, 1, master=35)
+_BUDGET_ENTRIES = {  # name: (call, the bytes its route is budgeted)
+    "ChainSpec": (lambda: ChainSpec(3, 1, 5), 8 * 243),
+    "TreeSpec": (lambda: TreeSpec(3, 1, 2, 2), 8 * 27),
+    "dense_spectrum": (lambda: dense_spectrum(np.eye(50)), 8 * 50**2),
+    "dense_hamiltonian": (lambda: dense_hamiltonian(_SPEC, _P), 8 * 243**2),
+    "range_gram": (lambda: range_gram(_SPEC, _P), 8 * 108**2),
+    # the Gram matrix and LAPACK's copy; the diagonal route is budgeted alike
+    "gap_report-dense": (lambda: gap_report(_SPEC, _P, method="dense"), 16 * 108**2),
+    "gap_report-diagonal": (lambda: gap_report(_SPEC, reference_projector(3, 1),
+                                               method="dense"), 16 * 108**2),
+    # 48 basis rows and a restart block of 16
+    "gap_report-iterative": (lambda: gap_report(_SPEC, _P, method="iterative",
+                                                seed=RandomSeed(35, 0)), 8 * 243 * 64),
+}
+
+
+@pytest.mark.parametrize("entry", _BUDGET_ENTRIES)
+def test_memory_budget_rule(entry, monkeypatch):
+    call, nbytes = _BUDGET_ENTRIES[entry]
+    monkeypatch.setattr(model, "MEMORY_BUDGET", nbytes)
+    call()
+    monkeypatch.setattr(model, "MEMORY_BUDGET", nbytes - 1)
+    with pytest.raises(InvalidDimensionError, match=f"needs at least {nbytes} bytes"):
+        call()
+
+
+_SPEC8 = ChainSpec(3, 1, 8)  # dim 6561, m = 5103
+_BEYOND_BUDGET = {  # name: a call whose route breaks a 1 MiB budget
+    "ChainSpec": lambda: ChainSpec(3, 1, 12),  # 4.3 MB state vector
+    "TreeSpec": lambda: TreeSpec(3, 1, 2, 4),  # 115 MB state vector
+    "dense_spectrum": lambda h=np.zeros((400, 400)): dense_spectrum(h),  # 1.3 MB copy
+    "dense_hamiltonian": lambda: dense_hamiltonian(_SPEC8, _P),  # 344 MB
+    "range_gram": lambda: range_gram(_SPEC8, _P),  # 208 MB
+    "gap_report-dense": lambda: gap_report(_SPEC8, _P, method="dense"),  # 417 MB
+    "gap_report-iterative": lambda: gap_report(_SPEC8, _P, method="iterative"),  # 3.4 MB
+}
+
+
+@pytest.mark.parametrize("entry", _BEYOND_BUDGET)
+def test_memory_budget_refuses_before_allocating(entry, monkeypatch):
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 2**20)
+
+    def refused():
+        with pytest.raises(InvalidDimensionError, match="memory budget"):
+            _BEYOND_BUDGET[entry]()
+
+    assert _traced(refused)[1] < 2**20
+
+
+# configs the budget refuses at load time, with the bytes of their route
+_CONFIGS_BEYOND_BUDGET = {
+    "d3-L15-iterative": ({"mode": "gap-sweep", "d": 3, "r": 1, "L": [15],
+                          "gap_method": "iterative"}, 7_346_640_384),  # basis and restart block
+    "tree-d3-k2-L4-iterative": ({"mode": "tree-gap", "d": 3, "r": 1, "k": 2, "L": 4,
+                                 "gap_method": "iterative"}, 7_346_640_384),
+    "d2-L24-iterative": ({"mode": "gap-sweep", "d": 2, "r": 1, "L": [24],
+                          "gap_method": "iterative"}, 8_589_934_592),
+    "d3-r1-L9-dense": ({"mode": "gap-sweep", "d": 3, "r": 1, "L": [9],
+                        "gap_method": "dense"}, 16 * 17496**2),  # Gram matrix and LAPACK's copy
+    "d3-r2-L9-dense": ({"mode": "gap-sweep", "d": 3, "r": 2, "L": [9],
+                        "gap_method": "dense"}, 16 * 19683**2),  # H and LAPACK's copy
+}
+
+
+@pytest.mark.parametrize("name", _CONFIGS_BEYOND_BUDGET)
+def test_memory_budget_refuses_configs_at_load_time(name):
+    obj, nbytes = _CONFIGS_BEYOND_BUDGET[name]
+
+    def refused():
+        with pytest.raises(ConfigError, match=f"needs at least {nbytes} bytes"):
+            load_config(obj)
+
+    assert _traced(refused)[1] < 5e6
+
+
+def test_memory_budget_accepts_configs_within_it():
+    for obj in ({"mode": "gap-sweep", "d": 3, "r": 1, "L": [14], "gap_method": "iterative"},
+                {"mode": "gap-sweep", "d": 3, "r": 1, "L": [10], "gap_method": "iterative"},
+                # the 6480 x 6480 Gram matrix and LAPACK's copy: 0.67 GB
+                {"mode": "gap-sweep", "d": 6, "r": 1, "L": [6]}):
+        assert load_config(obj).lattices
 
 
 # --- Haar sign convention: the triangular factor has a nonnegative diagonal ---

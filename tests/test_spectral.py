@@ -63,7 +63,7 @@ def test_dense_spectrum_validation(monkeypatch):
     with pytest.raises(DomainError):
         dense_spectrum(skew)
     assert dense_spectrum(np.zeros((0, 0))).shape == (0,)
-    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 4)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 8 * 4**2)
     with pytest.raises(InvalidDimensionError):
         dense_spectrum(np.eye(5))
 
@@ -256,11 +256,12 @@ def test_dense_levels_match_the_hamiltonian(spec, p, monkeypatch):
 def test_dense_gap_report_refuses_above_dense_limit():
     # d=4, L=8 would take the Gram route (m = 28672 < dim = 65536), d=2 L=15
     # the Hamiltonian route, the diagonal reference P at d=3 L=10 the sorted
-    # H 1; all are refused by the state dimension
+    # H 1; all break the memory budget with the matrix of order min(m, dim)
+    # and LAPACK's copy of it
     for spec, p in ((ChainSpec(4, 1, 8), random_projector(4, 1, master=69)),
                     (ChainSpec(2, 1, 15), random_projector(2, 1, master=69)),
                     (ChainSpec(3, 1, 10), reference_projector(3, 1))):
-        with pytest.raises(InvalidDimensionError, match="dense-assembly limit"):
+        with pytest.raises(InvalidDimensionError, match="memory budget"):
             gap_report(spec, p, method="dense")
 
 
