@@ -29,7 +29,11 @@ for gamma_loc <= 1, else >= 1, any L >= 4) and of k-ary trees
 below 1, a coupling norm below 1/2 (resp. 1/(2k)) certifies a gap.  The chain
 criterion bounds the gap above a zero ground energy, so a chain bound needs
 r <= max_ff_rank(d, "chain"); `certify` refuses a larger rank through the
-rank rule of `gapcert.model`, the one the experiment harness asks too.
+rank rule of `gapcert.model`, the one the experiment harness asks too.  Each
+geometry's solve holds a d^3 x d^3 matrix and LAPACK's copy, 16 d^6 bytes,
+stated once (`_require_overlap`) and asked by `certify` before anything is
+allocated and by the harness when it reads a configuration; under the
+default 4 GiB budget that refuses d >= 26.
 
 Two edges overlap in one of two geometries, each taken from the smallest
 lattice of the edge-list model (`gapcert.model`) that has it, with each edge
@@ -71,7 +75,7 @@ chain gap, not a tree gap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,6 +87,7 @@ from .model import (
     TreeSpec,
     _check_projector,
     _edge_dense,
+    _require_bytes,
     _require_ff_rank,
     reference_targets,
 )
@@ -136,17 +141,35 @@ _OVERLAP_LATTICES = {
 }
 
 
+def _require_overlap(d: int):
+    """Refuse the certificate of a site of dimension d when its overlap solve,
+    the d^3 x d^3 sum Q1 + Q2 and LAPACK's copy of it, 16 d^6 bytes, breaks
+    MEMORY_BUDGET.  Both geometries have three sites, so one statement covers
+    every certificate."""
+    n = d**3
+    _require_bytes(16 * n * n, f"the certificate of d={d} (the {n} x {n} sum of two edge "
+                               f"terms and LAPACK's copy)")
+
+
 def _overlap(P: LocalProjector, geometry: str) -> tuple[int, float, float]:
     """Meet rank, coupling norm and local gap of the two edge terms of `geometry`,
     P on each edge of the geometry's lattice, assembled as the Hamiltonian is.
 
     All three are read from one spectrum of Q1 + Q2 (see the module docstring).
+    The solve is budgeted (`_require_overlap`) before the sum is allocated.
+    The sum is not scanned for symmetry: `LocalProjector` stores P exactly
+    symmetric, each term places P or SWAP P SWAP on two sites, and mirrored
+    entries receive the same terms in the same order, so the sum is exactly
+    symmetric, as `spectral._dense_levels` argues for H.  LAPACK reads the
+    lower triangle alone, so the levels are bit-identical to a scanned
+    solve's, without the scan's two n x n temporaries.
     """
     if geometry not in _OVERLAP_LATTICES:
         raise DomainError(f"geometry must be one of {tuple(_OVERLAP_LATTICES)}, got {geometry!r}")
+    _require_overlap(P.d)
     spec = _OVERLAP_LATTICES[geometry](P.d, P.r)
     # Q1 + Q2 in one assembly; ascending, so the meet's eigenvalues come last
-    w = dense_spectrum(_edge_dense(P, spec.sites, spec.edges))
+    w = dense_spectrum(_edge_dense(P, spec.sites, spec.edges), check_symmetry=False)
     rank = int(np.count_nonzero(w >= 2.0 - MEET_EIGTOL))
     c = max(0.0, float(w[-rank - 1]) - 1.0) if rank < w.size else 0.0
     return rank, c, float(w[w > default_kernel_threshold(2)][0])
@@ -199,7 +222,10 @@ def fnw_defect(q1: np.ndarray, q2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Gap certificate of one local interaction, uniform in the system size."""
+    """Gap certificate of one local interaction, uniform in the system size.
+
+    The fields, in declaration order, are the keys of its JSON object.
+    """
 
     d: int
     r: int
@@ -208,10 +234,10 @@ class Certificate:
     gamma_loc_lb: float
     meet_rank: int
     chain_bound: float
-    tree_bounds: dict[int, float] = field(default_factory=dict)
-    verdict: str = "inconclusive"
     sibling_coupling_norm: float | None = None
     sibling_gamma_loc: float | None = None
+    tree_bounds: dict[int, float] = field(default_factory=dict)
+    verdict: str = "inconclusive"
     seed: RandomSeed | None = None
     tolerances: dict = field(default_factory=dict)
 
@@ -235,24 +261,10 @@ class Certificate:
         return self.tree_bounds.get(k, 0.0) > 0.0
 
     def to_json_obj(self) -> dict:
-        seed = None
-        if self.seed is not None:
-            seed = {"master_seed": self.seed.master_seed, "stream_index": self.seed.stream_index}
-        return {
-            "d": self.d,
-            "r": self.r,
-            "coupling_norm": self.coupling_norm,
-            "gamma_loc": self.gamma_loc,
-            "gamma_loc_lb": self.gamma_loc_lb,
-            "meet_rank": self.meet_rank,
-            "chain_bound": self.chain_bound,
-            "sibling_coupling_norm": self.sibling_coupling_norm,
-            "sibling_gamma_loc": self.sibling_gamma_loc,
-            "tree_bounds": {str(k): v for k, v in self.tree_bounds.items()},
-            "verdict": self.verdict,
-            "seed": seed,
-            "tolerances": self.tolerances,
-        }
+        """The fields as a dict, the seed as one too and tree_bounds keyed by str(k)."""
+        obj = asdict(self)
+        obj["tree_bounds"] = {str(k): v for k, v in self.tree_bounds.items()}
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)

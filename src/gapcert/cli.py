@@ -15,20 +15,16 @@ import sys
 from .errors import ConfigError
 from .harness import RunResult, load_config, load_config_file, run_experiment
 
-_SUBCOMMANDS = {
-    "sweep": "gap-sweep",
-    "event-freq": "event-frequency",
-    "tree": "tree-gap",
-    "cap-table": "cap-table",
-    "certify": "certify-one",
-}
-
-_HELP = {
-    "sweep": "sample random interactions, certify them, optionally diagonalize chains",
-    "event-freq": "frequency of sampled families landing near the reference targets",
-    "tree": "tree certificates and exact tree gaps",
-    "cap-table": "exact spherical cap measures vs closed-form bound and Monte Carlo",
-    "certify": "certificate of a single interaction (from a seed or a projector file)",
+_SUBCOMMANDS = {  # name: (mode, help)
+    "sweep": ("gap-sweep",
+              "sample random interactions, certify them, optionally diagonalize chains"),
+    "event-freq": ("event-frequency",
+                   "frequency of sampled families landing near the reference targets"),
+    "tree": ("tree-gap", "tree certificates and exact tree gaps"),
+    "cap-table": ("cap-table",
+                  "exact spherical cap measures vs closed-form bound and Monte Carlo"),
+    "certify": ("certify-one",
+                "certificate of a single interaction (from a seed or a projector file)"),
 }
 
 
@@ -38,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gap certification experiments for random-projector spin chains and trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, mode in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (mode, help_text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(mode=mode)
         p.add_argument("--config", help="path to a JSON configuration file")
         p.add_argument("--seed", type=int, help="master seed (overrides the config)")

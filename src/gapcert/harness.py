@@ -15,16 +15,22 @@ for console reporting but deliberately kept out of the files for the same
 reason.
 
 Each mode's configuration keys are declared once, in `_KEYS`.  The domain
-rules (lattice sizes, the memory budget of each lattice's gap route,
-frustration-free ranks, the near-reference epsilon window, reference targets)
-are the library's: `load_config` builds the run's lattices and asks the
-functions that state the other rules, so a run outside them is refused as a
-ConfigError before any trial runs.  Gap sweeps and tree runs share one trial
-runner over those lattices.
+rules (lattice sizes, the memory budget of each lattice's gap route and of the
+certificate's overlap solve, frustration-free ranks, the near-reference
+epsilon window, reference targets) are the library's: `load_config` builds the
+run's lattices and asks the functions that state the other rules, so a run
+outside them is refused as a ConfigError before any trial runs.  The budget
+of event-frequency's sampling chunk is stated here (`_require_event_chunk`),
+next to the chunk size it depends on.  Gap sweeps and tree runs share one
+trial runner over those lattices.
 
 Output formats: CSV with a fixed header per mode (floats printed with 17
 significant digits; summary statistics appended as '# key=value' comment
-lines), or JSON with ``{"config", "rows", "summary"}``.
+lines), or JSON with ``{"config", "rows", "summary"}``.  Each header is
+declared once, by the rows it heads: the fields of `ResultRow` for gap sweeps
+and trees (`SWEEP_HEADER` leaves out `k` and `tree_bound`) and the key order
+of the row dicts of event-frequency and cap-table.  Both renderers read a
+row's cells by name, ``row[name]``, whatever its type.
 """
 
 from __future__ import annotations
@@ -39,14 +45,14 @@ import threading
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import capgeom
-from .certificate import certified_gap_level, certify, construct_near_good
+from .certificate import _require_overlap, certified_gap_level, certify, construct_near_good
 from .errors import ConfigError
 from .haar import (
     RandomSeed,
@@ -60,6 +66,7 @@ from .model import (
     LocalProjector,
     TreeSpec,
     _check_reference_rank,
+    _require_bytes,
     _require_ff_rank,
     projector_from_family,
     reference_targets,
@@ -177,22 +184,6 @@ _RECORDED = {
                     "format"),
 }
 
-SWEEP_HEADER = [
-    "trial", "d", "r", "L", "ground_energy", "kernel_dim", "gap", "gap_status",
-    "frustration_free", "coupling_norm", "gamma_loc", "gamma_loc_lb", "chain_bound",
-    "verdict", "status", "error",
-]
-TREE_HEADER = [
-    "trial", "d", "r", "k", "L", "ground_energy", "kernel_dim", "gap", "gap_status",
-    "frustration_free", "coupling_norm", "gamma_loc", "gamma_loc_lb", "chain_bound",
-    "tree_bound", "verdict", "status", "error",
-]
-EVENT_HEADER = [
-    "trials", "successes", "frequency", "wilson_low", "wilson_high", "std_err",
-    "landing_bound", "exact_cap",
-]
-CAP_HEADER = ["n", "delta", "exact", "lower_bound", "monte_carlo", "std_err"]
-
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 
 
@@ -264,10 +255,11 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
     """Validate a configuration mapping; raises ConfigError with explicit messages.
 
     Unknown keys are rejected so that a mistyped scientific parameter fails
-    loudly instead of silently running with a default.
+    loudly instead of silently running with a default.  A key given as null
+    takes its default, `mode` and the rule on 'L' and 'L_range' included.
     """
     _require(isinstance(obj, dict), "configuration must be a JSON object")
-    cfg_mode = obj.get("mode", mode)
+    cfg_mode = mode if obj.get("mode") is None else obj["mode"]
     _require(cfg_mode in _MODES, f"mode must be one of {_MODES}, got {cfg_mode!r}")
     if mode is not None:
         _require(cfg_mode == mode, f"config mode {cfg_mode!r} does not match subcommand {mode!r}")
@@ -291,7 +283,7 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
 
     if cfg_mode == "gap-sweep":
         _domain(_require_ff_rank, d, r)
-        _require(not ("L" in obj and "L_range" in obj), "give either 'L' or 'L_range', not both")
+        _require(obj.get("L") is None or L_range is None, "give either 'L' or 'L_range', not both")
         if L_range is not None:
             lo, hi = L_range
             _domain(ChainSpec, d, r, hi)  # refuses a too long chain before listing the range
@@ -305,6 +297,7 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
 
     elif cfg_mode == "event-frequency":
         _domain(_check_reference_rank, d, r)
+        _domain(_require_event_chunk, d, cfg.trials)
 
     elif cfg_mode == "tree-gap":
         _domain(_require_ff_rank, d, r, "tree", cfg.k)
@@ -328,6 +321,8 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
         for n in cfg.n_list:
             _domain(_check_sphere_dim, n)
 
+    if cfg_mode in ("gap-sweep", "tree-gap", "certify-one"):  # every trial certifies
+        _domain(_require_overlap, d)
     for spec in cfg.lattices:  # every method but "iterative" is budgeted as dense
         _domain(_require_route, spec, cfg.gap_method)
     return cfg
@@ -354,8 +349,8 @@ class ResultRow:
     trial: int | None = None
     d: int | None = None
     r: int | None = None
-    L: int | None = None
     k: int | None = None
+    L: int | None = None
     ground_energy: float | None = None
     kernel_dim: int | None = None
     gap: float | None = None
@@ -371,11 +366,14 @@ class ResultRow:
     error: str = ""
     wall_time: float = 0.0  # console reporting only, never serialized
 
-    def cells(self, header: list[str]) -> list[str]:
-        return [_fmt(getattr(self, name)) for name in header]
+    def __getitem__(self, name: str):
+        """A field by name, as a row dict of the other modes is read."""
+        return getattr(self, name)
 
-    def to_json_obj(self, header: list[str]) -> dict:
-        return {name: getattr(self, name) for name in header}
+
+# the lattice modes' CSV headers and JSON row keys: the fields of ResultRow, in order
+TREE_HEADER = [f.name for f in fields(ResultRow) if f.name != "wall_time"]
+SWEEP_HEADER = [name for name in TREE_HEADER if name not in ("k", "tree_bound")]
 
 
 @dataclass
@@ -415,24 +413,16 @@ def _csv_cell(s: str) -> str:
 def render_csv(result: RunResult) -> str:
     lines = [",".join(result.header)]
     for row in result.rows:
-        cells = row.cells(result.header) if isinstance(row, ResultRow) else [
-            _fmt(row.get(name)) for name in result.header
-        ]
-        lines.append(",".join(_csv_cell(c) for c in cells))
+        lines.append(",".join(_csv_cell(_fmt(row[name])) for name in result.header))
     for key, value in result.summary.items():
         lines.append(f"# {key}={_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
 def render_json(result: RunResult) -> str:
-    rows = [
-        row.to_json_obj(result.header) if isinstance(row, ResultRow)
-        else {name: row.get(name) for name in result.header}
-        for row in result.rows
-    ]
     payload = {
         "config": result.config.to_json_obj(),
-        "rows": rows,
+        "rows": [{name: row[name] for name in result.header} for row in result.rows],
         "summary": result.summary,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -578,6 +568,14 @@ def run_lattice_gaps(cfg: ExperimentConfig) -> RunResult:
 _EVENT_CHUNK = 4096
 
 
+def _require_event_chunk(d: int, trials: int):
+    """Refuse an event-frequency run whose sampling chunk, min(trials, _EVENT_CHUNK)
+    Gaussian d^2 x d^2 matrices drawn at once, 8 min(trials, 4096) d^4 bytes,
+    breaks MEMORY_BUDGET."""
+    count, n = min(trials, _EVENT_CHUNK), d * d
+    _require_bytes(8 * count * n * n, f"a sampling chunk of {count} Gaussian {n} x {n} matrices")
+
+
 def run_event_frequency(cfg: ExperimentConfig) -> RunResult:
     """Frequency of all sampled vectors landing within epsilon of the targets."""
     d, r, eps = cfg.d, cfg.r, cfg.epsilon
@@ -615,7 +613,7 @@ def run_event_frequency(cfg: ExperimentConfig) -> RunResult:
         if (freq is not None and landing is not None) else None,
     }
     return RunResult(
-        mode=cfg.mode, header=EVENT_HEADER, rows=[row], summary=summary, config=cfg,
+        mode=cfg.mode, header=list(row), rows=[row], summary=summary, config=cfg,
     )
 
 
@@ -643,7 +641,7 @@ def run_cap_table(cfg: ExperimentConfig) -> RunResult:
     rows = _map_indexed(worker, len(grid), cfg.threads)
     summary = {"rows": len(rows), "mc_samples": cfg.mc_samples}
     return RunResult(
-        mode=cfg.mode, header=CAP_HEADER, rows=rows, summary=summary, config=cfg,
+        mode=cfg.mode, header=list(rows[0]), rows=rows, summary=summary, config=cfg,
     )
 
 

@@ -162,6 +162,8 @@ def test_overlap_terms_equal_the_kron_construction(built_terms, geometry, d, r, 
         q1, q2 = _kron_terms(p, geometry)
         assert len(built_terms) == 1
         assert np.array_equal(built_terms[0], q1 + q2)
+        # exactly symmetric, so the overlap solve skips the symmetry scan
+        assert np.array_equal(built_terms[0], built_terms[0].T)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

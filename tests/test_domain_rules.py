@@ -210,6 +210,8 @@ _BUDGET_ENTRIES = {  # name: (call, the bytes its route is budgeted)
     # 48 basis rows and a restart block of 16
     "gap_report-iterative": (lambda: gap_report(_SPEC, _P, method="iterative",
                                                 seed=RandomSeed(35, 0)), 8 * 243 * 64),
+    # each overlap's 27 x 27 sum and LAPACK's copy; the sibling one too
+    "certify": (lambda: certify(_P, k_list=(2,)), 16 * 27**2),
 }
 
 
@@ -232,6 +234,8 @@ _BEYOND_BUDGET = {  # name: a call whose route breaks a 1 MiB budget
     "range_gram": lambda: range_gram(_SPEC8, _P),  # 208 MB
     "gap_report-dense": lambda: gap_report(_SPEC8, _P, method="dense"),  # 417 MB
     "gap_report-iterative": lambda: gap_report(_SPEC8, _P, method="iterative"),  # 3.4 MB
+    # a 512 x 512 overlap sum and LAPACK's copy: 4.2 MB
+    "certify": lambda p=random_projector(8, 1, master=36): certify(p),
 }
 
 
@@ -258,6 +262,13 @@ _CONFIGS_BEYOND_BUDGET = {
                         "gap_method": "dense"}, 16 * 17496**2),  # Gram matrix and LAPACK's copy
     "d3-r2-L9-dense": ({"mode": "gap-sweep", "d": 3, "r": 2, "L": [9],
                         "gap_method": "dense"}, 16 * 19683**2),  # H and LAPACK's copy
+    # the certificate's d^3 x d^3 overlap sum and LAPACK's copy, 16 d^6 bytes
+    "certify-one-d40": ({"mode": "certify-one", "d": 40, "r": 1}, 65_536_000_000),
+    "sweep-d26-L2": ({"mode": "gap-sweep", "d": 26, "r": 1, "L": [2]}, 4_942_652_416),
+    "tree-d26-k2-L2": ({"mode": "tree-gap", "d": 26, "r": 1, "k": 2, "L": 2}, 4_942_652_416),
+    # event-frequency's sampling chunk: 4096 Gaussian 900 x 900 matrices
+    "event-frequency-d30": ({"mode": "event-frequency", "d": 30, "r": 1, "epsilon": 0.1,
+                             "trials": 10000}, 26_542_080_000),
 }
 
 
@@ -270,6 +281,18 @@ def test_memory_budget_refuses_configs_at_load_time(name):
             load_config(obj)
 
     assert _traced(refused)[1] < 5e6
+
+
+@pytest.mark.parametrize("d, budget", [(8, 2**20), (7, 10**6)])
+def test_memory_budget_refuses_the_certificate_at_load_time(d, budget, monkeypatch):
+    # the chain's dense route fits; the certificate's 16 d^6 bytes do not.  At
+    # d = 7, L = 4 (dimension 2401) "auto" runs Lanczos, whose basis breaks the
+    # budget too, but is budgeted as dense: the certificate refuses the run
+    monkeypatch.setattr(model, "MEMORY_BUDGET", budget)
+    obj = {"mode": "gap-sweep", "d": d, "r": 1, "L": [4], "trials": 2}
+    with pytest.raises(ConfigError, match=f"needs at least {16 * d**6} bytes"):
+        load_config(obj)
+    assert load_config(dict(obj, L=[2], compute_gaps=False, d=d - 2)).d == d - 2
 
 
 def test_memory_budget_accepts_configs_within_it():

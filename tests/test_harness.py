@@ -154,6 +154,17 @@ def test_L_and_range_exclusive():
     assert cfg.L == (4, 5, 6)
 
 
+@pytest.mark.parametrize("obj, mode", [
+    ({"mode": "gap-sweep", "d": 3, "r": 1, "L": None, "L_range": [4, 6]}, None),
+    ({"mode": "gap-sweep", "d": 3, "r": 1, "L": [5], "L_range": None}, None),
+    ({"mode": None, "d": 3, "r": 1, "L": [5]}, "gap-sweep"),
+])
+def test_null_keys_take_their_defaults(obj, mode):
+    cfg = load_config(obj, mode=mode)
+    assert cfg.mode == "gap-sweep"
+    assert cfg.L == ((4, 5, 6) if obj["L"] is None else (5,))
+
+
 def test_dense_budget_requires_explicit_iterative():
     with pytest.raises(ConfigError, match="iterative"):
         load_config({"mode": "gap-sweep", "d": 3, "r": 1, "L": [10]})
@@ -427,6 +438,53 @@ def test_cap_table_draw_stays_a_few_blocks():
             tracemalloc.stop()
     assert peak < 4 * haar.SPHERE_BLOCK_BYTES
     assert abs(row["monte_carlo"] - row["exact"]) < 6.0 * row["std_err"]
+
+
+# Every output's layout: the CSV header line of each table mode, the certificate's
+# JSON keys and each mode's JSON "config" keys, in order
+_LAYOUTS = {
+    "gap-sweep": ({"d": 3, "r": 1, "L": [4]},
+                  "trial,d,r,L,ground_energy,kernel_dim,gap,gap_status,frustration_free,"
+                  "coupling_norm,gamma_loc,gamma_loc_lb,chain_bound,verdict,status,error",
+                  ["mode", "master_seed", "d", "r", "trials", "L", "epsilon", "gap_method",
+                   "kernel_threshold", "compute_gaps", "format"]),
+    "tree-gap": ({"d": 3, "r": 1, "k": 2, "L": 2},
+                 "trial,d,r,k,L,ground_energy,kernel_dim,gap,gap_status,frustration_free,"
+                 "coupling_norm,gamma_loc,gamma_loc_lb,chain_bound,tree_bound,verdict,status,"
+                 "error",
+                 ["mode", "master_seed", "d", "r", "trials", "k", "L", "family", "epsilon",
+                  "gap_method", "kernel_threshold", "format"]),
+    "event-frequency": ({"d": 3, "r": 1, "epsilon": 0.1},
+                        "trials,successes,frequency,wilson_low,wilson_high,std_err,"
+                        "landing_bound,exact_cap",
+                        ["mode", "master_seed", "d", "r", "trials", "epsilon", "format"]),
+    "cap-table": ({"n_list": [3], "delta_list": [0.2], "mc_samples": 10},
+                  "n,delta,exact,lower_bound,monte_carlo,std_err",
+                  ["mode", "master_seed", "n_list", "delta_list", "mc_samples", "format"]),
+}
+
+
+@pytest.mark.parametrize("mode", _LAYOUTS)
+def test_table_layouts(mode):
+    obj, header, config_keys = _LAYOUTS[mode]
+    obj = {"mode": mode, "trials": 1, **obj}
+    assert run_experiment(load_config(obj)).render().splitlines()[0] == header
+    payload = json.loads(run_experiment(load_config(dict(obj, format="json"))).render())
+    assert list(payload["config"]) == config_keys
+    assert [list(row) for row in payload["rows"]] == [header.split(",")]
+
+
+def test_certificate_layout():
+    cfg = load_config({"mode": "certify-one", "d": 3, "r": 1, "k_list": [1, 2]})
+    assert list(cfg.to_json_obj()) == ["mode", "master_seed", "d", "r", "k_list",
+                                       "stream_index", "projector", "format"]
+    cert = json.loads(run_experiment(cfg).render())
+    assert list(cert) == ["d", "r", "coupling_norm", "gamma_loc", "gamma_loc_lb", "meet_rank",
+                          "chain_bound", "sibling_coupling_norm", "sibling_gamma_loc",
+                          "tree_bounds", "verdict", "seed", "tolerances"]
+    assert list(cert["tree_bounds"]) == ["1", "2"]
+    assert list(cert["seed"]) == ["master_seed", "stream_index"]
+    assert list(cert["tolerances"]) == ["meet_eigtol", "kernel_threshold"]
 
 
 def test_certify_one_from_seed_and_file(tmp_path):
