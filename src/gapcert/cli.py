@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: sweep, event-freq, tree, cap-table, certify.  Each reads a JSON
-configuration (--config) whose mode must match the subcommand; the common
+Subcommands: sweep, event-freq, tree, cap-table, certify, one per experiment
+mode (`harness._MODES` declares each one's name and help line).  Each reads a
+JSON configuration (--config) whose mode must match the subcommand; the common
 flags --seed, --trials, --out, --threads, --format override the corresponding
 config entries.  Exit codes: 0 full success, 1 configuration error, 2 the run
 completed but some trials failed (their rows carry an error message).
@@ -13,38 +14,29 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .harness import RunResult, load_config, load_config_file, run_experiment
-
-_SUBCOMMANDS = {  # name: (mode, help)
-    "sweep": ("gap-sweep",
-              "sample random interactions, certify them, optionally diagonalize chains"),
-    "event-freq": ("event-frequency",
-                   "frequency of sampled families landing near the reference targets"),
-    "tree": ("tree-gap", "tree certificates and exact tree gaps"),
-    "cap-table": ("cap-table",
-                  "exact spherical cap measures vs closed-form bound and Monte Carlo"),
-    "certify": ("certify-one",
-                "certificate of a single interaction (from a seed or a projector file)"),
-}
+from .harness import _MODES, RunResult, load_config, load_config_file, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per mode of `harness._MODES`; each flag's dest is the config
+    key it overrides."""
     parser = argparse.ArgumentParser(
         prog="gapcert",
         description="Gap certification experiments for random-projector spin chains and trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (mode, help_text) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for mode, record in _MODES.items():
+        p = sub.add_parser(record.subcommand, help=record.help)
         p.set_defaults(mode=mode)
         p.add_argument("--config", help="path to a JSON configuration file")
-        p.add_argument("--seed", type=int, help="master seed (overrides the config)")
+        p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
+                       help="master seed (overrides the config)")
         p.add_argument("--trials", type=int, help="number of trials (overrides the config)")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--threads", type=int,
                        help="worker processes, at most one per available CPU (default 1)")
         p.add_argument("--format", choices=["csv", "json"], help="output format")
-        if name == "certify":
+        if record.subcommand == "certify":
             p.add_argument("--projector", help="path to a serialized projector JSON file")
             p.add_argument("-d", type=int, help="local dimension (with --seed sampling)")
             p.add_argument("-r", type=int, help="interaction rank (with --seed sampling)")
@@ -52,17 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {
-        "master_seed": args.seed,
-        "trials": args.trials,
-        "out": args.out,
-        "threads": args.threads,
-        "format": args.format,
-    }
-    for key in ("projector", "d", "r"):
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    return out
+    """The config keys the flags set; a flag not given is None."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "mode", "config")}
 
 
 def _emit(result: RunResult) -> None:
@@ -85,9 +68,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config_file(args.config, mode=args.mode, overrides=overrides)
         else:
-            obj = {"mode": args.mode}
-            obj.update({k: v for k, v in overrides.items() if v is not None})
-            cfg = load_config(obj, mode=args.mode)
+            cfg = load_config(overrides, args.mode)  # a null key takes its default
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

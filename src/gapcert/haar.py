@@ -95,6 +95,8 @@ class OrthonormalFamily:
             raise InvalidDimensionError(
                 f"expected vectors of shape ({self.r}, {self.d**2}), got {v.shape}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("family has a NaN or infinite entry")
         gram = v @ v.T
         err = np.abs(gram - np.eye(self.r)).max()
         if err > _GRAM_TOL:

@@ -14,15 +14,18 @@ is); with another BLAS the run is left unpinned.  Per-row wall time is measured
 for console reporting but deliberately kept out of the files for the same
 reason.
 
-Each mode's configuration keys are declared once, in `_KEYS`.  The domain
-rules (lattice sizes, the memory budget of each lattice's gap route and of the
-certificate's overlap solve, frustration-free ranks, the near-reference
-epsilon window, reference targets) are the library's: `load_config` builds the
-run's lattices and asks the functions that state the other rules, so a run
-outside them is refused as a ConfigError before any trial runs.  The budget
-of event-frequency's sampling chunk is stated here (`_require_event_chunk`),
-next to the chunk size it depends on.  Gap sweeps and tree runs share one
-trial runner over those lattices.
+Each experiment mode is declared once, as a `_Mode` record in `_MODES`: its
+CLI subcommand and help line, its configuration keys, the keys its JSON output
+records, its rules and its runner.  `load_config` checks each key alone, then
+runs the mode's rules.  The domain rules (lattice sizes, the memory budget of
+each lattice's gap route and of the certificate's overlap solve,
+frustration-free ranks, the near-reference epsilon window, reference targets)
+are the library's: a mode's rules build the run's lattices and ask the
+functions that state the other rules, and `load_config` budgets each
+lattice's route, so a run outside them is refused as a ConfigError before any
+trial runs.  The budget of event-frequency's sampling chunk is stated here
+(`_require_event_chunk`), next to the chunk size it depends on.  Gap sweeps
+and tree runs share one trial runner over those lattices.
 
 Output formats: CSV with a fixed header per mode (floats printed with 17
 significant digits; summary statistics appended as '# key=value' comment
@@ -114,6 +117,14 @@ def _list(item, what: str, default, nonempty=True, convert=tuple) -> _Key:
                 f"be a {'nonempty ' * nonempty}list of {what}", default, convert)
 
 
+def _is_writable_path(v) -> bool:
+    """Whether open(v, "w") may create or truncate the file v; asked, not tried."""
+    if not isinstance(v, str) or not v or os.path.isdir(v):
+        return False
+    folder = os.path.dirname(v) or "."
+    return os.path.isdir(folder) and os.access(v if os.path.exists(v) else folder, os.W_OK)
+
+
 # NaN fails every comparison; an integer beyond the float range is refused before float()
 _NUMBER = _Key(lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
                "be a finite number", None, float)
@@ -121,68 +132,13 @@ _POSITIVE = _Key(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
                  "be a finite number > 0", None, float)
 _COMMON_KEYS = {
     "master_seed": _int(0, 2**64 - 1, default=0), "trials": _int(0, default=0),
-    "threads": _int(1, default=1), "out": _Key(lambda v: isinstance(v, str), "be a string path"),
+    "threads": _int(1, default=1),
+    "out": _Key(_is_writable_path, "be the path of a writable file in an existing directory"),
     "format": _choice("csv", "json", default="csv"),
 }
 _SITE_KEYS = {"d": _int(2, default=_REQUIRED), "r": _int(1, default=_REQUIRED)}
 _GAP_KEYS = {"gap_method": _choice("auto", "dense", "iterative", default="auto"),
              "kernel_threshold": _POSITIVE}
-_KEYS = {
-    "gap-sweep": {
-        **_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
-        "L": _Key(lambda v: _is_length(v) or isinstance(v, list) and all(map(_is_length, v)),
-                  "be an integer >= 2 or a list of them", (),
-                  lambda v: tuple(v) if isinstance(v, list) else (v,)),
-        "L_range": _Key(lambda v: isinstance(v, list) and len(v) == 2
-                        and all(map(_is_length, v)) and v[0] <= v[1],
-                        "be [min, max] with integers 2 <= min <= max"),
-        "compute_gaps": _Key(lambda v: isinstance(v, bool), "be true or false", True),
-        "epsilon": _NUMBER,  # default and window depend on r
-    },
-    "event-frequency": {
-        **_COMMON_KEYS, **_SITE_KEYS,
-        "epsilon": _Key(lambda v: _is_number(v) and 0 <= v < 0.25, "be a number in [0, 1/4)",
-                        _REQUIRED, float),
-    },
-    "tree-gap": {
-        **_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
-        "k": _int(2, default=_REQUIRED), "L": _int(1, default=_REQUIRED),
-        "family": _choice("haar", "near-good", default="haar"),
-        "epsilon": _NUMBER,  # required by, and windowed for, the near-good family
-    },
-    "cap-table": {
-        **_COMMON_KEYS,
-        "n_list": _list(lambda n: _is_int(n) and 1 <= n <= sys.float_info.max,
-                        f"integers in [1, {sys.float_info.max:.4g}]", (3, 8, 15)),
-        "delta_list": _list(lambda x: _is_number(x) and 0 < x < math.pi, "radii in (0, pi)",
-                            (0.2, 0.5, 1.0), convert=lambda v: tuple(map(float, v))),
-        "mc_samples": _int(0, default=100_000),
-    },
-    "certify-one": {
-        **_COMMON_KEYS,
-        "format": _Key(lambda v: v == "json",
-                       "be 'json' (certify-one emits a single certificate)", "json"),
-        "d": _int(2), "r": _int(1),  # required unless a projector file is given
-        "k_list": _list(lambda k: _is_int(k) and k >= 1, "integers >= 1", (2,), nonempty=False),
-        "stream_index": _int(0, 2**64 - 1, default=0),
-        "projector": _Key(lambda v: isinstance(v, str), "be a file path"),
-    },
-}
-_MODES = tuple(_KEYS)
-
-# The keys each mode writes into a JSON output's "config", in order.  threads
-# and the output path are execution machinery, not experiment identity; leaving
-# them out keeps files byte-identical across runs.
-_RECORDED = {
-    "gap-sweep": ("mode", "master_seed", "d", "r", "trials", "L", "epsilon", "gap_method",
-                  "kernel_threshold", "compute_gaps", "format"),
-    "event-frequency": ("mode", "master_seed", "d", "r", "trials", "epsilon", "format"),
-    "tree-gap": ("mode", "master_seed", "d", "r", "trials", "k", "L", "family", "epsilon",
-                 "gap_method", "kernel_threshold", "format"),
-    "cap-table": ("mode", "master_seed", "n_list", "delta_list", "mc_samples", "format"),
-    "certify-one": ("mode", "master_seed", "d", "r", "k_list", "stream_index", "projector",
-                    "format"),
-}
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 
@@ -192,9 +148,10 @@ class ExperimentConfig:
     """Validated parameters of one experiment run, as built by `load_config`.
 
     Keys outside the run's mode stay None.  `L` is the tuple of chain lengths
-    of a gap sweep, or the level count of a tree.  `lattices` holds the specs
-    whose gaps each trial computes; `loaded_projector` the interaction read
-    from the certify-one `projector` file.
+    of a gap sweep (an `L_range` is listed into it), or the level count of a
+    tree.  `lattices` holds the specs whose gaps each trial computes;
+    `loaded_projector` the interaction read from the certify-one `projector`
+    file.
     """
 
     mode: str
@@ -207,6 +164,7 @@ class ExperimentConfig:
     r: int | None = None
     k: int | None = None
     L: tuple[int, ...] | int | None = None
+    L_range: list[int] | None = None
     epsilon: float | None = None
     family: str | None = None
     gap_method: str | None = None
@@ -222,20 +180,12 @@ class ExperimentConfig:
     loaded_projector: LocalProjector | None = None
 
     def to_json_obj(self) -> dict:
-        return {key: getattr(self, key) for key in _RECORDED[self.mode]}
+        return {key: getattr(self, key) for key in _MODES[self.mode].recorded}
 
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
-
-
-def _domain(fn, *args):
-    """fn(*args), with the library's refusal (a ValueError) reported as a ConfigError."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _read_projector(path: str) -> LocalProjector:
@@ -257,13 +207,16 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
     Unknown keys are rejected so that a mistyped scientific parameter fails
     loudly instead of silently running with a default.  A key given as null
     takes its default, `mode` and the rule on 'L' and 'L_range' included.
+    After each key's own check the mode's rules run (`_Mode.rules`), then the
+    gap route of every lattice they built is budgeted; the library's refusal
+    of a value (a ValueError) is reported as a ConfigError.
     """
     _require(isinstance(obj, dict), "configuration must be a JSON object")
     cfg_mode = mode if obj.get("mode") is None else obj["mode"]
-    _require(cfg_mode in _MODES, f"mode must be one of {_MODES}, got {cfg_mode!r}")
+    _require(cfg_mode in tuple(_MODES), f"mode must be one of {tuple(_MODES)}, got {cfg_mode!r}")
     if mode is not None:
         _require(cfg_mode == mode, f"config mode {cfg_mode!r} does not match subcommand {mode!r}")
-    keys = _KEYS[cfg_mode]
+    keys = _MODES[cfg_mode].keys
     unknown = set(obj) - set(keys) - {"mode"}
     _require(not unknown,
              f"unknown keys for mode {cfg_mode!r}: {sorted(unknown)} "
@@ -277,54 +230,13 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
         else:
             _require(key.check(value), f"key {name!r} must {key.message}, got {value!r}")
             values[name] = key.convert(value)
-    L_range = values.pop("L_range", None)
     cfg = ExperimentConfig(mode=cfg_mode, **values)
-    d, r = cfg.d, cfg.r
-
-    if cfg_mode == "gap-sweep":
-        _domain(_require_ff_rank, d, r)
-        _require(obj.get("L") is None or L_range is None, "give either 'L' or 'L_range', not both")
-        if L_range is not None:
-            lo, hi = L_range
-            _domain(ChainSpec, d, r, hi)  # refuses a too long chain before listing the range
-            cfg.L = tuple(range(lo, hi + 1))
-        cfg.compute_gaps = cfg.compute_gaps and bool(cfg.L)
-        if cfg.epsilon is None:
-            cfg.epsilon = 1.0 / 16.0 if r == 1 else 1.0 / (9.0 * r)
-        _domain(certified_gap_level, r, cfg.epsilon)
-        if cfg.compute_gaps:
-            cfg.lattices = tuple(_domain(ChainSpec, d, r, L) for L in cfg.L)
-
-    elif cfg_mode == "event-frequency":
-        _domain(_check_reference_rank, d, r)
-        _domain(_require_event_chunk, d, cfg.trials)
-
-    elif cfg_mode == "tree-gap":
-        _domain(_require_ff_rank, d, r, "tree", cfg.k)
-        if cfg.family == "near-good":
-            _require(cfg.epsilon is not None, "near-good family requires 'epsilon'")
-            _domain(certified_gap_level, r, cfg.epsilon)
-        cfg.lattices = (_domain(TreeSpec, d, r, cfg.k, cfg.L),)
-
-    elif cfg_mode == "certify-one":
-        if cfg.projector is None:
-            _require(d is not None, "missing required key 'd'")
-            _require(r is not None, "missing required key 'r'")
-        else:
-            _require(d is None and r is None,
-                     "give either 'projector' or 'd' and 'r', not both (the file sets d and r)")
-            cfg.loaded_projector = _read_projector(cfg.projector)
-            d, r = cfg.loaded_projector.d, cfg.loaded_projector.r
-        _domain(_require_ff_rank, d, r)
-
-    elif cfg_mode == "cap-table" and cfg.mc_samples > 0:
-        for n in cfg.n_list:
-            _domain(_check_sphere_dim, n)
-
-    if cfg_mode in ("gap-sweep", "tree-gap", "certify-one"):  # every trial certifies
-        _domain(_require_overlap, d)
-    for spec in cfg.lattices:  # every method but "iterative" is budgeted as dense
-        _domain(_require_route, spec, cfg.gap_method)
+    try:
+        _MODES[cfg_mode].rules(cfg)
+        for spec in cfg.lattices:  # every method but "iterative" is budgeted as dense
+            _require_route(spec, cfg.gap_method)
+    except ValueError as exc:  # a ConfigError of the rules keeps its message
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -657,12 +569,129 @@ def run_certify_one(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-_RUNNERS = {
-    "gap-sweep": run_lattice_gaps,
-    "event-frequency": run_event_frequency,
-    "tree-gap": run_lattice_gaps,
-    "cap-table": run_cap_table,
-    "certify-one": run_certify_one,
+def _sweep_rules(cfg: ExperimentConfig):
+    _require_ff_rank(cfg.d, cfg.r)
+    _require(cfg.L is None or cfg.L_range is None, "give either 'L' or 'L_range', not both")
+    if cfg.L_range is not None:
+        lo, hi = cfg.L_range
+        ChainSpec(cfg.d, cfg.r, hi)  # refuses a too long chain before listing the range
+        cfg.L = tuple(range(lo, hi + 1))
+    cfg.L = cfg.L or ()
+    cfg.compute_gaps = cfg.compute_gaps and bool(cfg.L)
+    if cfg.epsilon is None:
+        cfg.epsilon = 1.0 / 16.0 if cfg.r == 1 else 1.0 / (9.0 * cfg.r)
+    certified_gap_level(cfg.r, cfg.epsilon)
+    if cfg.compute_gaps:
+        cfg.lattices = tuple(ChainSpec(cfg.d, cfg.r, L) for L in cfg.L)
+    _require_overlap(cfg.d)  # every trial certifies
+
+
+def _event_rules(cfg: ExperimentConfig):
+    _check_reference_rank(cfg.d, cfg.r)
+    _require_event_chunk(cfg.d, cfg.trials)
+
+
+def _tree_rules(cfg: ExperimentConfig):
+    _require_ff_rank(cfg.d, cfg.r, "tree", cfg.k)
+    if cfg.family == "near-good":
+        _require(cfg.epsilon is not None, "near-good family requires 'epsilon'")
+        certified_gap_level(cfg.r, cfg.epsilon)
+    cfg.lattices = (TreeSpec(cfg.d, cfg.r, cfg.k, cfg.L),)
+    _require_overlap(cfg.d)  # every trial certifies
+
+
+def _cap_rules(cfg: ExperimentConfig):
+    if cfg.mc_samples > 0:
+        for n in cfg.n_list:
+            _check_sphere_dim(n)
+
+
+def _certify_rules(cfg: ExperimentConfig):
+    d, r = cfg.d, cfg.r
+    if cfg.projector is None:
+        _require(d is not None, "missing required key 'd'")
+        _require(r is not None, "missing required key 'r'")
+    else:
+        _require(d is None and r is None,
+                 "give either 'projector' or 'd' and 'r', not both (the file sets d and r)")
+        cfg.loaded_projector = _read_projector(cfg.projector)
+        d, r = cfg.loaded_projector.d, cfg.loaded_projector.r
+    _require_ff_rank(d, r)
+    _require_overlap(d)
+
+
+class _Mode(NamedTuple):
+    """One experiment mode: its CLI subcommand and help line, its configuration
+    keys, the keys its JSON output records as "config" (in order), the rules
+    `load_config` runs on a config whose keys passed their own checks (a rule
+    may complete the config, e.g. build its lattices) and its runner."""
+
+    subcommand: str
+    help: str
+    keys: dict[str, _Key]
+    recorded: tuple[str, ...]
+    rules: Callable[[ExperimentConfig], None]
+    run: Callable[[ExperimentConfig], RunResult]
+
+
+# Every mode, in CLI order.  A JSON output's "config" leaves out threads and the
+# output path: they are execution machinery, not experiment identity, and
+# leaving them out keeps files byte-identical across runs.
+_MODES = {
+    "gap-sweep": _Mode(
+        "sweep", "sample random interactions, certify them, optionally diagonalize chains",
+        {**_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
+         "L": _Key(lambda v: _is_length(v) or isinstance(v, list) and all(map(_is_length, v)),
+                   "be an integer >= 2 or a list of them", None,
+                   lambda v: tuple(v) if isinstance(v, list) else (v,)),
+         "L_range": _Key(lambda v: isinstance(v, list) and len(v) == 2
+                         and all(map(_is_length, v)) and v[0] <= v[1],
+                         "be [min, max] with integers 2 <= min <= max"),
+         "compute_gaps": _Key(lambda v: isinstance(v, bool), "be true or false", True),
+         "epsilon": _NUMBER},  # default and window depend on r
+        ("mode", "master_seed", "d", "r", "trials", "L", "epsilon", "gap_method",
+         "kernel_threshold", "compute_gaps", "format"),
+        _sweep_rules, run_lattice_gaps),
+    "event-frequency": _Mode(
+        "event-freq", "frequency of sampled families landing near the reference targets",
+        {**_COMMON_KEYS, **_SITE_KEYS,
+         "epsilon": _Key(lambda v: _is_number(v) and 0 <= v < 0.25, "be a number in [0, 1/4)",
+                         _REQUIRED, float)},
+        ("mode", "master_seed", "d", "r", "trials", "epsilon", "format"),
+        _event_rules, run_event_frequency),
+    "tree-gap": _Mode(
+        "tree", "tree certificates and exact tree gaps",
+        {**_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
+         "k": _int(2, default=_REQUIRED), "L": _int(1, default=_REQUIRED),
+         "family": _choice("haar", "near-good", default="haar"),
+         "epsilon": _NUMBER},  # required by, and windowed for, the near-good family
+        ("mode", "master_seed", "d", "r", "trials", "k", "L", "family", "epsilon",
+         "gap_method", "kernel_threshold", "format"),
+        _tree_rules, run_lattice_gaps),
+    "cap-table": _Mode(
+        "cap-table", "exact spherical cap measures vs closed-form bound and Monte Carlo",
+        {**_COMMON_KEYS,
+         "n_list": _list(lambda n: _is_int(n) and 1 <= n <= sys.float_info.max,
+                         f"integers in [1, {sys.float_info.max:.4g}]", (3, 8, 15)),
+         "delta_list": _list(lambda x: _is_number(x) and 0 < x < math.pi, "radii in (0, pi)",
+                             (0.2, 0.5, 1.0), convert=lambda v: tuple(map(float, v))),
+         "mc_samples": _int(0, default=100_000)},
+        ("mode", "master_seed", "n_list", "delta_list", "mc_samples", "format"),
+        _cap_rules, run_cap_table),
+    "certify-one": _Mode(
+        "certify", "certificate of a single interaction (from a seed or a projector file)",
+        {**_COMMON_KEYS,
+         "format": _Key(lambda v: v == "json",
+                        "be 'json' (certify-one emits a single certificate)", "json"),
+         "d": _int(2), "r": _int(1),  # required unless a projector file is given
+         # 2k, the tree bound's factor, stays a finite float
+         "k_list": _list(lambda k: _is_int(k) and 1 <= k <= sys.float_info.max / 2,
+                         f"integers in [1, {sys.float_info.max / 2:.4g}]", (2,),
+                         nonempty=False),
+         "stream_index": _int(0, 2**64 - 1, default=0),
+         "projector": _Key(lambda v: isinstance(v, str), "be a file path")},
+        ("mode", "master_seed", "d", "r", "k_list", "stream_index", "projector", "format"),
+        _certify_rules, run_certify_one),
 }
 
 
@@ -725,6 +754,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run a validated configuration, with BLAS on one thread (see the module docstring)."""
     with _one_blas_thread():
         t_start = time.perf_counter()
-        result = _RUNNERS[cfg.mode](cfg)
+        result = _MODES[cfg.mode].run(cfg)
         result.wall_time = time.perf_counter() - t_start
     return result

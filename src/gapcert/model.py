@@ -72,10 +72,13 @@ def _require_bytes(nbytes: int, what: str):
 
 def _check_projector(q, name: str) -> np.ndarray:
     """``q`` as a float array, refused with a NotAProjectorError unless it is a
-    square matrix that is symmetric and idempotent within _PROJECTOR_TOL."""
+    square matrix of finite entries that is symmetric and idempotent within
+    _PROJECTOR_TOL."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise NotAProjectorError(f"{name} must be a square matrix, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise NotAProjectorError(f"{name} has a NaN or infinite entry")
     for prop, defect in (("symmetric", q - q.T), ("idempotent", q @ q - q)):
         worst = np.abs(defect).max()
         if worst > _PROJECTOR_TOL:
@@ -180,8 +183,7 @@ class LocalProjector:
 def projector_from_family(family: OrthonormalFamily) -> LocalProjector:
     """Rank-r projector onto the span of the family, P = sum_i |phi_i><phi_i|."""
     v = family.vectors
-    m = v.T @ v
-    return LocalProjector(d=family.d, r=family.r, matrix=0.5 * (m + m.T), seed=family.seed)
+    return LocalProjector(d=family.d, r=family.r, matrix=v.T @ v, seed=family.seed)
 
 
 def _check_reference_rank(d: int, r: int):

@@ -186,7 +186,8 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     bytes, breaks MEMORY_BUDGET; a 0 x 0 matrix has the empty spectrum.
     LAPACK reads only the lower triangle, so with ``check_symmetry=False`` a
     matrix filled only there, as `range_gram` fills the Gram matrix, is
-    solved as its symmetric completion.
+    solved as its symmetric completion; otherwise a matrix with a NaN or
+    infinite entry is refused, as is one that is not symmetric.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -195,6 +196,8 @@ def dense_spectrum(h: np.ndarray, check_symmetry: bool = True) -> np.ndarray:
     _require_bytes(8 * n * n, f"the eigensolve of a {n} x {n} matrix")
     if check_symmetry:
         scale = float(np.abs(h).max(initial=1.0))
+        if not math.isfinite(scale):
+            raise DomainError("matrix has a NaN or infinite entry")
         asym = float(np.abs(h - h.T).max(initial=0.0))
         if asym > 1e-10 * scale:
             raise DomainError(f"matrix is not symmetric: max |H - H^T| = {asym:.3e}")

@@ -6,6 +6,7 @@ entry points with values on both sides of its boundary: the library raises
 its own type, a configuration raises ConfigError.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from gapcert import (
     InvalidDimensionError,
     InvalidRankError,
     LocalProjector,
+    NotAProjectorError,
     OrthonormalFamily,
     RandomSeed,
     TreeSpec,
@@ -29,6 +31,7 @@ from gapcert import (
     dense_spectrum,
     gap_report,
     max_ff_rank,
+    meet,
     range_gram,
     reference_distance,
     reference_projector,
@@ -75,6 +78,61 @@ def test_site_dimension_rule(entry):
     _DIM_ENTRIES[entry](2)
     with pytest.raises(InvalidDimensionError, match="local dimension must be >= 2"):
         _DIM_ENTRIES[entry](1)
+
+
+# --- finite entries: a NaN or infinite entry fails the check it reaches ------
+# Each input below is valid with x = 0.  With a NaN or inf x its checked defect
+# would be NaN (inf - inf, inf * 0), which fails no comparison, or, for the
+# one-sided entry, |H - H^T| and the scale it is measured against both inf.
+
+
+def _paired(x):
+    """reference_projector(3, 1) with x at (0, 1) and (1, 0), its trace kept."""
+    m = reference_projector(3, 1).matrix.copy()
+    m[0, 1] = m[1, 0] = x
+    return m
+
+
+def _rows(x):
+    """Two orthonormal rows, with x at (0, 2)."""
+    v = np.eye(9)[:2].copy()
+    v[0, 2] = x
+    return v
+
+
+def _one_sided(x):
+    h = np.eye(4)
+    h[0, 1] = x
+    return h
+
+
+_FINITE_ENTRIES = {  # name: (call(x), error)
+    "LocalProjector": (lambda x: LocalProjector(3, 1, _paired(x)), NotAProjectorError),
+    "OrthonormalFamily": (lambda x: OrthonormalFamily(3, 2, _rows(x)), ValueError),
+    "meet": (lambda x: meet(_paired(x), _paired(x)), NotAProjectorError),
+    "dense_spectrum": (lambda x: dense_spectrum(_one_sided(x)), DomainError),
+}
+
+
+@pytest.mark.parametrize("entry", _FINITE_ENTRIES)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_finite_entry_rule(entry, x):
+    call, error = _FINITE_ENTRIES[entry]
+    call(0.0)
+    with pytest.raises(error, match="NaN or infinite entry"):
+        call(x)
+
+
+def test_nan_filled_inputs_are_refused():
+    nan = np.full((9, 9), math.nan)
+    with pytest.raises(NotAProjectorError, match="P has a NaN or infinite entry"):
+        LocalProjector(3, 1, nan)
+    with pytest.raises(ValueError, match="family has a NaN or infinite entry"):
+        OrthonormalFamily(3, 1, np.full((1, 9), math.nan))
+    with pytest.raises(NotAProjectorError, match="q1 has a NaN or infinite entry"):
+        meet(nan, nan)
+    with pytest.raises(DomainError, match="matrix has a NaN or infinite entry"):
+        dense_spectrum(np.full((4, 4), math.nan))
 
 
 # --- frustration-free rank: r <= max_ff_rank(d, lattice, k) ------------------

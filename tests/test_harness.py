@@ -1,5 +1,6 @@
 """Experiment harness: config validation, determinism, crash isolation, CLI."""
 
+import argparse
 import concurrent.futures.process
 import json
 import math
@@ -13,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import gapcert.cli as cli
 import gapcert.haar as haar
 import gapcert.harness as harness
 from gapcert import (
@@ -517,7 +519,8 @@ def test_run_experiment_pins_blas_and_restores(monkeypatch):
             raise RuntimeError("runner failed")
         return harness.run_lattice_gaps(cfg)
 
-    monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
+    monkeypatch.setitem(harness._MODES, "gap-sweep",
+                        harness._MODES["gap-sweep"]._replace(run=runner))
     try:
         set_(2)
         result = run_experiment(_sweep_cfg())
@@ -544,7 +547,8 @@ def test_concurrent_runs_share_one_pin(monkeypatch):
         seen.append(get())
         return harness.RunResult(mode=cfg.mode, header=[], rows=[], summary={}, config=cfg)
 
-    monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
+    monkeypatch.setitem(harness._MODES, "gap-sweep",
+                        harness._MODES["gap-sweep"]._replace(run=runner))
     cfg = _sweep_cfg()
     try:
         set_(2)
@@ -581,7 +585,8 @@ def test_worker_processes_run_one_blas_thread(monkeypatch, two_cpus):
                                       4, cfg.threads)
         return harness.RunResult(mode=cfg.mode, header=[], rows=counts, summary={}, config=cfg)
 
-    monkeypatch.setitem(harness._RUNNERS, "gap-sweep", runner)
+    monkeypatch.setitem(harness._MODES, "gap-sweep",
+                        harness._MODES["gap-sweep"]._replace(run=runner))
     try:
         set_(2)
         rows = run_experiment(_sweep_cfg(threads=2)).rows
@@ -705,6 +710,70 @@ def test_projector_file_of_rank_zero_is_refused(tmp_path):
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.startswith("configuration error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_projector_file_with_non_finite_entries_is_refused(tmp_path, value):
+    # json.dumps writes NaN and Infinity tokens, which json.loads reads back
+    m = reference_projector(3, 1).matrix.copy()
+    m[0, 1] = m[1, 0] = value  # the trace stays 1
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps({"d": 3, "r": 1, "matrix": m.ravel().tolist()}))
+    with pytest.raises(ConfigError, match="does not hold a projector: NotAProjectorError"):
+        load_config({"mode": "certify-one", "projector": str(path)})
+    proc = _run_cli(["certify", "--projector", str(path)], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_k_list_entries_keep_the_tree_bound_finite():
+    # tree_bound multiplies by 2k, which must stay a finite float
+    largest = int(sys.float_info.max / 2)
+    for big in (10**308, largest + 1, 10**400):
+        with pytest.raises(ConfigError, match="'k_list' must be a list of integers in"):
+            load_config({"mode": "certify-one", "d": 3, "r": 1, "k_list": [2, big]})
+    cfg = load_config({"mode": "certify-one", "d": 3, "r": 1, "k_list": [10**307, largest]})
+
+    def refuse(token):
+        raise AssertionError(f"{token} in the certificate")
+
+    bounds = json.loads(run_experiment(cfg).render(), parse_constant=refuse)["tree_bounds"]
+    assert list(bounds) == [str(10**307), str(largest)]
+
+
+def test_out_must_be_writable(tmp_path):
+    (tmp_path / "plain.txt").write_text("x")
+    for out in ("", str(tmp_path), str(tmp_path / "missing" / "c.json"),
+                str(tmp_path / "plain.txt" / "c.json")):
+        with pytest.raises(ConfigError, match="'out' must be the path of a writable file"):
+            load_config({"mode": "cap-table", "out": out})
+    new, kept = tmp_path / "new.csv", tmp_path / "plain.txt"
+    for out in (new, kept):  # neither created nor truncated
+        assert load_config({"mode": "cap-table", "out": str(out)}).out == str(out)
+    assert not new.exists() and kept.read_text() == "x"
+    proc = _run_cli(["certify", "--seed", "1", "-d", "3", "-r", "1",
+                     "--out", str(tmp_path / "missing" / "c.json")], tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("configuration error: key 'out' must")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_surface():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [(a.dest, sub.choices[a.dest].get_default("mode"), a.help)
+            for a in sub._choices_actions] == [
+        ("sweep", "gap-sweep",
+         "sample random interactions, certify them, optionally diagonalize chains"),
+        ("event-freq", "event-frequency",
+         "frequency of sampled families landing near the reference targets"),
+        ("tree", "tree-gap", "tree certificates and exact tree gaps"),
+        ("cap-table", "cap-table",
+         "exact spherical cap measures vs closed-form bound and Monte Carlo"),
+        ("certify", "certify-one",
+         "certificate of a single interaction (from a seed or a projector file)"),
+    ]
 
 
 def test_cli_sweep_writes_file_and_exit_zero(tmp_path):
