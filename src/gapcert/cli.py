@@ -4,8 +4,10 @@ Subcommands: sweep, event-freq, tree, cap-table, certify, one per experiment
 mode (`harness._MODES` declares each one's name and help line).  Each reads a
 JSON configuration (--config) whose mode must match the subcommand; the common
 flags --seed, --trials, --out, --threads, --format override the corresponding
-config entries.  Exit codes: 0 full success, 1 configuration error, 2 the run
-completed but some trials failed (their rows carry an error message).
+config entries; a given flag whose key the mode lacks (--trials and --threads of
+certify, --trials of cap-table) is a configuration error.  Exit codes: 0 full
+success, 1 configuration error, 2 the run completed but some trials failed
+(their rows carry an error message).
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    """The config keys the flags set; a flag not given is None."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "mode", "config")}
+    """The config keys the given flags set; a flag not given sets none, so a flag
+    whose key the mode lacks (``certify --trials``) is refused only when given."""
+    return {k: v for k, v in vars(args).items()
+            if v is not None and k not in ("command", "mode", "config")}
 
 
 def _emit(result: RunResult) -> None:
@@ -68,7 +72,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config_file(args.config, mode=args.mode, overrides=overrides)
         else:
-            cfg = load_config(overrides, args.mode)  # a null key takes its default
+            cfg = load_config(overrides, args.mode)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

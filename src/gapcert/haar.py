@@ -23,11 +23,16 @@ Normal variates come from numpy's ``Generator.standard_normal`` (ziggurat
 transform), which is deterministic for a pinned numpy version.  Since a
 stream is fixed by its key alone, a batch re-keys one generator in place for
 each trial (key set, counter zero, buffer empty) and draws exactly what a
-freshly built generator would.
+freshly built generator would.  The state it writes holds Python ints, not
+uint64 arrays: numpy's ``Philox.state`` setter reads the key, counter and
+buffer one entry at a time, and 4096 re-keys of one state take 1.6 ms from
+lists against 4.1 ms from arrays (numpy 2.4.6, 2-CPU x86-64).  The 0.6 us
+saved per re-key is an eighth of a 4.9 us event-frequency trial at d = 3.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,16 +52,21 @@ SPHERE_BLOCK_BYTES = 2**23
 
 @dataclass(frozen=True)
 class RandomSeed:
-    """Key of one random stream: a master seed plus a stream (trial) index."""
+    """Key of one random stream: a master seed plus a stream (trial) index.
+
+    Each field is an integer (numpy integers pass `operator.index`, a float is
+    refused with a TypeError) in [0, 2**64), stored as a Python int.
+    """
 
     master_seed: int = 0
     stream_index: int = 0
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            v = getattr(self, name)
-            if not (0 <= int(v) < 2**64):
+            v = operator.index(getattr(self, name))
+            if not 0 <= v < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
+            object.__setattr__(self, name, v)
 
     def generator(self, substream: int = 0) -> np.random.Generator:
         """Generator for this stream; ``substream`` selects a jumped side stream.
@@ -179,17 +189,21 @@ def sample_family_batch(d: int, r: int, master_seed: int, start: int, count: int
     Returns an array of shape (count, r, d**2): row i is the family of stream
     index ``start + i``.  One Philox generator is re-keyed in place for each
     trial and draws that trial's n x n Gaussian; the thin QR factorizations of
-    the kept columns then run as one stacked LAPACK call.
+    the kept columns then run as one stacked LAPACK call.  The state it is
+    re-keyed from holds Python ints (see the module docstring): the same state
+    as uint64 arrays, at less than half the cost of setting it.  `master_seed`
+    and `start` must be integers (`operator.index`; a float is a TypeError).
     """
     _check_site_space(d, r)
+    master_seed, start = operator.index(master_seed), operator.index(start)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not (0 <= master_seed < 2**64 and 0 <= start <= 2**64 - max(count, 1)):
         raise ValueError(f"master_seed and stream indices must be 64-bit unsigned integers, "
                          f"got master_seed={master_seed}, start={start}, count={count}")
     n = d**2
-    key = np.array([master_seed, 0], dtype=_U64)
-    empty = np.zeros(4, dtype=_U64)
+    key = [master_seed, 0]
+    empty = [0, 0, 0, 0]
     state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
              "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bg = np.random.Philox(key=0)

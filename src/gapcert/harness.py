@@ -131,11 +131,13 @@ _NUMBER = _Key(lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
 _POSITIVE = _Key(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
                  "be a finite number > 0", None, float)
 _COMMON_KEYS = {
-    "master_seed": _int(0, 2**64 - 1, default=0), "trials": _int(0, default=0),
-    "threads": _int(1, default=1),
+    "master_seed": _int(0, 2**64 - 1, default=0),
     "out": _Key(_is_writable_path, "be the path of a writable file in an existing directory"),
     "format": _choice("csv", "json", default="csv"),
 }
+# every mode but certify-one runs a pool; the sampling modes also count trials
+_POOL_KEYS = {"threads": _int(1, default=1)}
+_TRIAL_KEYS = {"trials": _int(0, default=0), **_POOL_KEYS}
 _SITE_KEYS = {"d": _int(2, default=_REQUIRED), "r": _int(1, default=_REQUIRED)}
 _GAP_KEYS = {"gap_method": _choice("auto", "dense", "iterative", default="auto"),
              "kernel_threshold": _POSITIVE}
@@ -241,6 +243,7 @@ def load_config(obj: dict, mode: str | None = None) -> ExperimentConfig:
 
 
 def load_config_file(path: str, mode: str | None = None, overrides: dict | None = None):
+    """`load_config` of the JSON object in file `path`, its keys replaced by `overrides`."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
@@ -249,8 +252,7 @@ def load_config_file(path: str, mode: str | None = None, overrides: dict | None 
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     _require(isinstance(obj, dict), f"config file {path} must hold a JSON object")
-    if overrides:
-        obj.update({k: v for k, v in overrides.items() if v is not None})
+    obj.update(overrides or {})
     return load_config(obj, mode=mode)
 
 
@@ -640,7 +642,7 @@ class _Mode(NamedTuple):
 _MODES = {
     "gap-sweep": _Mode(
         "sweep", "sample random interactions, certify them, optionally diagonalize chains",
-        {**_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
+        {**_COMMON_KEYS, **_TRIAL_KEYS, **_SITE_KEYS, **_GAP_KEYS,
          "L": _Key(lambda v: _is_length(v) or isinstance(v, list) and all(map(_is_length, v)),
                    "be an integer >= 2 or a list of them", None,
                    lambda v: tuple(v) if isinstance(v, list) else (v,)),
@@ -654,14 +656,14 @@ _MODES = {
         _sweep_rules, run_lattice_gaps),
     "event-frequency": _Mode(
         "event-freq", "frequency of sampled families landing near the reference targets",
-        {**_COMMON_KEYS, **_SITE_KEYS,
+        {**_COMMON_KEYS, **_TRIAL_KEYS, **_SITE_KEYS,
          "epsilon": _Key(lambda v: _is_number(v) and 0 <= v < 0.25, "be a number in [0, 1/4)",
                          _REQUIRED, float)},
         ("mode", "master_seed", "d", "r", "trials", "epsilon", "format"),
         _event_rules, run_event_frequency),
     "tree-gap": _Mode(
         "tree", "tree certificates and exact tree gaps",
-        {**_COMMON_KEYS, **_SITE_KEYS, **_GAP_KEYS,
+        {**_COMMON_KEYS, **_TRIAL_KEYS, **_SITE_KEYS, **_GAP_KEYS,
          "k": _int(2, default=_REQUIRED), "L": _int(1, default=_REQUIRED),
          "family": _choice("haar", "near-good", default="haar"),
          "epsilon": _NUMBER},  # required by, and windowed for, the near-good family
@@ -670,7 +672,7 @@ _MODES = {
         _tree_rules, run_lattice_gaps),
     "cap-table": _Mode(
         "cap-table", "exact spherical cap measures vs closed-form bound and Monte Carlo",
-        {**_COMMON_KEYS,
+        {**_COMMON_KEYS, **_POOL_KEYS,
          "n_list": _list(lambda n: _is_int(n) and 1 <= n <= sys.float_info.max,
                          f"integers in [1, {sys.float_info.max:.4g}]", (3, 8, 15)),
          "delta_list": _list(lambda x: _is_number(x) and 0 < x < math.pi, "radii in (0, pi)",

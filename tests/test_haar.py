@@ -46,6 +46,12 @@ def test_seed_validation():
         RandomSeed(-1, 0)
     with pytest.raises(ValueError):
         RandomSeed(0, 2**64)
+    # int() would truncate 1.5 to seed 1's stream
+    for fields in ((1.5, 0), (0, 2.0), (1.0, 1)):
+        with pytest.raises(TypeError):
+            RandomSeed(*fields)
+    seed = RandomSeed(np.uint64(2**64 - 1), np.int32(3))
+    assert seed == RandomSeed(2**64 - 1, 3) and type(seed.master_seed) is int
 
 
 def test_bit_reproducible_same_process():
@@ -191,6 +197,18 @@ def test_batch_stream_range_validated():
         sample_family_batch(2, 1, master_seed=5, start=2**64 - 2, count=3)
     with pytest.raises(ValueError):
         sample_family_batch(2, 1, master_seed=2**64, start=0, count=1)
+    # the Python-int state reaches the top of the key range in both words
+    top = 2**64 - 1
+    last = sample_family_batch(2, 1, master_seed=top, start=top, count=1)
+    _assert_matches_oracle(last[0], 2, 1, top, top)
+    tail = sample_family_batch(3, 1, master_seed=top, start=top - 3, count=3)
+    for i in range(3):
+        _assert_matches_oracle(tail[i], 3, 1, top, top - 3 + i)
+    for master_seed, start in ((1.5, 0), (1, 0.0)):
+        with pytest.raises(TypeError):
+            sample_family_batch(3, 1, master_seed, start, 1)
+    numpy_ints = sample_family_batch(2, 1, np.uint64(5), np.int64(3), 2)
+    assert np.array_equal(numpy_ints, sample_family_batch(2, 1, 5, 3, 2))
 
 
 def test_first_column_is_normalized_gaussian_column():

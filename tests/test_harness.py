@@ -445,18 +445,18 @@ def test_cap_table_draw_stays_a_few_blocks():
 # Every output's layout: the CSV header line of each table mode, the certificate's
 # JSON keys and each mode's JSON "config" keys, in order
 _LAYOUTS = {
-    "gap-sweep": ({"d": 3, "r": 1, "L": [4]},
+    "gap-sweep": ({"d": 3, "r": 1, "L": [4], "trials": 1},
                   "trial,d,r,L,ground_energy,kernel_dim,gap,gap_status,frustration_free,"
                   "coupling_norm,gamma_loc,gamma_loc_lb,chain_bound,verdict,status,error",
                   ["mode", "master_seed", "d", "r", "trials", "L", "epsilon", "gap_method",
                    "kernel_threshold", "compute_gaps", "format"]),
-    "tree-gap": ({"d": 3, "r": 1, "k": 2, "L": 2},
+    "tree-gap": ({"d": 3, "r": 1, "k": 2, "L": 2, "trials": 1},
                  "trial,d,r,k,L,ground_energy,kernel_dim,gap,gap_status,frustration_free,"
                  "coupling_norm,gamma_loc,gamma_loc_lb,chain_bound,tree_bound,verdict,status,"
                  "error",
                  ["mode", "master_seed", "d", "r", "trials", "k", "L", "family", "epsilon",
                   "gap_method", "kernel_threshold", "format"]),
-    "event-frequency": ({"d": 3, "r": 1, "epsilon": 0.1},
+    "event-frequency": ({"d": 3, "r": 1, "epsilon": 0.1, "trials": 1},
                         "trials,successes,frequency,wilson_low,wilson_high,std_err,"
                         "landing_bound,exact_cap",
                         ["mode", "master_seed", "d", "r", "trials", "epsilon", "format"]),
@@ -469,7 +469,7 @@ _LAYOUTS = {
 @pytest.mark.parametrize("mode", _LAYOUTS)
 def test_table_layouts(mode):
     obj, header, config_keys = _LAYOUTS[mode]
-    obj = {"mode": mode, "trials": 1, **obj}
+    obj = {"mode": mode, **obj}
     assert run_experiment(load_config(obj)).render().splitlines()[0] == header
     payload = json.loads(run_experiment(load_config(dict(obj, format="json"))).render())
     assert list(payload["config"]) == config_keys
@@ -832,10 +832,29 @@ def test_cli_certify_from_seed_stdout(tmp_path):
 
 
 def test_cli_cap_table_defaults(tmp_path):
-    proc = _run_cli(["cap-table", "--trials", "0"], tmp_path)
-    # default grid runs on stdout; trials flag is accepted but unused here
+    proc = _run_cli(["cap-table"], tmp_path)
+    # default grid runs on stdout
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,delta,")
+
+
+# a mode takes trials only where it runs trials, and threads only where it runs a pool
+@pytest.mark.parametrize("obj, key", [({"mode": "cap-table"}, "trials"),
+                                      ({"mode": "certify-one", "d": 3, "r": 1}, "trials"),
+                                      ({"mode": "certify-one", "d": 3, "r": 1}, "threads")])
+def test_keys_a_mode_does_not_use_are_refused(obj, key):
+    with pytest.raises(ConfigError, match=f"unknown keys for mode '{obj['mode']}': \\['{key}'\\]"):
+        load_config({**obj, key: 5})
+
+
+@pytest.mark.parametrize("argv", [["cap-table", "--trials", "0"],
+                                  ["certify", "--seed", "5", "-d", "3", "-r", "1", "--trials", "5"],
+                                  ["certify", "--seed", "5", "-d", "3", "-r", "1", "--threads", "2"]])
+def test_cli_flags_a_mode_does_not_use_are_refused(tmp_path, argv):
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("configuration error: unknown keys for mode")
+    assert repr(argv[-2].lstrip("-")) in proc.stderr and proc.stdout == ""
 
 
 def test_import_and_load_config_stay_numpy_only():
